@@ -22,6 +22,10 @@
 // served totals, metric snapshot) are byte-identical — the scale_smoke
 // ctest gate. --shards N restricts the sweep to {1, N} ({N} alone under
 // --quick, which is what the m=20 wall-gate ctest runs).
+//
+// Every sweep ends by printing the process's peak RSS and the bytes per
+// PID it implies at the widest m; --max-rss-mb turns the peak into a
+// gate (the m=20 ctest runs with a 2 GB ceiling).
 #include <algorithm>
 #include <chrono>
 
@@ -181,6 +185,7 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   if (args.smoke) return run_smoke();
+  const double startup_rss_mb = bench::proc_status_mb("VmRSS:");
 
   const std::vector<int> widths =
       args.m.has_value() ? std::vector<int>{*args.m}
@@ -306,5 +311,17 @@ int main(int argc, char** argv) {
   if (args.json.has_value()) {
     bench::write_wire_json(*args.json, args, rows, wall_ms);
   }
-  return bench::enforce_wall_gate(args, wall_ms);
+  // Cells run one at a time and free their swarm, so the peak belongs to
+  // the widest m; its growth over start-up, per PID, is the per-peer
+  // footprint (Peer, Client, store, in-flight events, latency logs).
+  const int widest = *std::max_element(widths.begin(), widths.end());
+  const double peak_mb = bench::proc_status_mb("VmHWM:");
+  std::cout << "\npeak RSS " << peak_mb << " MB; "
+            << (peak_mb - startup_rss_mb) * 1024.0 * 1024.0 /
+                   static_cast<double>(util::space_size(widest))
+            << " bytes per PID at m=" << widest << " (peak minus the "
+            << startup_rss_mb << " MB start-up RSS)\n";
+  const int wall_gate = bench::enforce_wall_gate(args, wall_ms);
+  const int rss_gate = bench::enforce_rss_gate(args);
+  return wall_gate != 0 ? wall_gate : rss_gate;
 }

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -56,13 +57,16 @@ struct BenchArgs {
   /// Wall-time regression gate (milliseconds) on the bench's timed
   /// region; exceeded = nonzero exit. See enforce_wall_gate().
   std::optional<int> max_wall_ms;
+  /// Peak-memory regression gate (MB of the process's VmHWM); exceeded =
+  /// nonzero exit. See enforce_rss_gate().
+  std::optional<int> max_rss_mb;
 
   [[noreturn]] static void usage_exit() {
     std::cerr << "usage: bench [--quick] [--smoke] [--seeds N] "
                  "[--threads N] [--csv path] [--json path] "
                  "[--metrics json|csv] [--metrics-out path] [--m N] "
                  "[--shards N] [--solver scratch|incremental] "
-                 "[--max-wall-ms N]\n";
+                 "[--max-wall-ms N] [--max-rss-mb N]\n";
     std::exit(2);
   }
 
@@ -118,6 +122,9 @@ struct BenchArgs {
       } else if (arg == "--max-wall-ms" && i + 1 < argc) {
         args.max_wall_ms =
             parse_bounded_int("--max-wall-ms", argv[++i], 100000000);
+      } else if (arg == "--max-rss-mb" && i + 1 < argc) {
+        args.max_rss_mb =
+            parse_bounded_int("--max-rss-mb", argv[++i], 100000000);
       } else if (arg == "--solver" && i + 1 < argc) {
         const std::string mode = argv[++i];
         if (mode == "scratch") {
@@ -429,6 +436,38 @@ inline void check(bool ok, const std::string& claim) {
   std::cout << (ok ? "[wall OK]    " : "[wall FAIL]  ") << wall_ms
             << " ms against the " << *args.max_wall_ms
             << " ms --max-wall-ms gate\n";
+  return ok ? 0 : 1;
+}
+
+/// One `/proc/self/status` field in MB ("VmHWM:" peak resident set,
+/// "VmRSS:" current); 0 when the file or field is missing.
+[[nodiscard]] inline double proc_status_mb(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == field) {
+      double kb = 0.0;
+      status >> kb;
+      return kb / 1024.0;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0.0;
+}
+
+/// Enforces --max-rss-mb against the process's peak resident set
+/// (VmHWM): the return value is the process exit code (0 pass, 1 fail).
+/// Like the wall gate, the ceiling sits well above an expected run so it
+/// trips on structural growth (per-peer state bloating, a buffer that is
+/// never freed), not on allocator noise. No-op when the flag is absent.
+[[nodiscard]] inline int enforce_rss_gate(const BenchArgs& args) {
+  if (!args.max_rss_mb.has_value()) return 0;
+  const double peak_mb = proc_status_mb("VmHWM:");
+  const bool ok = peak_mb > 0.0 &&
+                  peak_mb <= static_cast<double>(*args.max_rss_mb);
+  std::cout << (ok ? "[rss OK]     " : "[rss FAIL]   ") << peak_mb
+            << " MB peak RSS against the " << *args.max_rss_mb
+            << " MB --max-rss-mb gate\n";
   return ok ? 0 : 1;
 }
 

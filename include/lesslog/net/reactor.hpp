@@ -51,8 +51,17 @@ class Reactor {
   /// callbacks dispatched. EINTR counts as zero ready, not an error.
   int poll(int timeout_ms);
 
+  /// epoll_ctl(2) calls issued by add/modify/remove.
+  [[nodiscard]] std::int64_t ctl_calls() const noexcept { return ctl_calls_; }
+  /// epoll_wait(2) calls issued by poll.
+  [[nodiscard]] std::int64_t wait_calls() const noexcept {
+    return wait_calls_;
+  }
+
  private:
   int epfd_ = -1;
+  std::int64_t ctl_calls_ = 0;
+  std::int64_t wait_calls_ = 0;
   /// shared_ptr so a callback that removes its own (or another) fd
   /// mid-dispatch cannot free the std::function currently executing.
   std::unordered_map<int, std::shared_ptr<Callback>> callbacks_;

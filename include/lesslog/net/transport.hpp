@@ -97,6 +97,12 @@ struct TransportStats {
   std::int64_t reconnects = 0;  ///< connects that followed a disconnect
   std::int64_t accepts = 0;
   std::int64_t disconnects = 0;  ///< lost links (either direction)
+  // Syscalls, counted in-process: /proc/<pid>/io's syscr/syscw miss
+  // send(2) and epoll_ctl(2).
+  std::int64_t send_calls = 0;   ///< send(2) on outgoing links
+  std::int64_t readv_calls = 0;  ///< readv(2) on accepted links
+  std::int64_t epoll_ctl_calls = 0;   ///< the reactor's epoll_ctl(2)
+  std::int64_t epoll_wait_calls = 0;  ///< the reactor's epoll_wait(2)
 };
 
 class Transport {
@@ -138,8 +144,12 @@ class Transport {
   /// True when outgoing links to every other entry are established.
   [[nodiscard]] bool fully_connected() const;
 
-  [[nodiscard]] const TransportStats& stats() const noexcept {
-    return stats_;
+  /// Counters, with the reactor's epoll syscall counts folded in.
+  [[nodiscard]] TransportStats stats() const noexcept {
+    TransportStats s = stats_;
+    s.epoll_ctl_calls = reactor_.ctl_calls();
+    s.epoll_wait_calls = reactor_.wait_calls();
+    return s;
   }
   [[nodiscard]] const HostMap& hosts() const noexcept { return hosts_; }
   [[nodiscard]] std::size_t self() const noexcept { return self_; }
@@ -168,6 +178,9 @@ class Transport {
     double retry_at = 0.0;  ///< monotonic seconds; next connect attempt
     bool attempted = false;  ///< connect_all() reached this link
     bool ever_connected = false;
+    /// Event mask registered with the reactor for `fd` (0 = none), so
+    /// update_out_interest() issues epoll_ctl only when it changes.
+    std::uint32_t interest = 0;
   };
 
   /// One accepted inbound connection (read-only).
@@ -185,6 +198,13 @@ class Transport {
   void on_out_readable(std::size_t index, std::uint32_t events);
   void fail_link(std::size_t index);
   void flush(std::size_t index);
+  /// Registers link `index`'s fd (not yet watched) for `events`.
+  void watch_link(std::size_t index, std::uint32_t events,
+                  Reactor::Callback cb);
+  /// Unregisters link `index`'s fd.
+  void unwatch_link(std::size_t index);
+  /// Sets the connected link's mask to EPOLLIN, plus EPOLLOUT while bytes
+  /// are queued; a no-op when the registered mask already matches.
   void update_out_interest(std::size_t index);
   void on_accept_ready();
   void on_in_readable(int fd, std::uint32_t events);

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "lesslog/proto/peer.hpp"
@@ -137,10 +138,10 @@ class Client {
   /// the ledger lives on the peers; the swarm aggregate merges both).
   [[nodiscard]] ReliabilityLedger ledger() const noexcept;
 
-  /// The Jacobson/Karn estimator state (tests and diagnostics).
-  [[nodiscard]] const RttEstimator& estimator() const noexcept {
-    return estimator_;
-  }
+  /// The Jacobson/Karn estimator state (tests and diagnostics). A client
+  /// with adaptive timers and hedging both off keeps no estimator and
+  /// returns a shared unprimed one.
+  [[nodiscard]] const RttEstimator& estimator() const noexcept;
 
  private:
   struct PendingGet {
@@ -209,10 +210,25 @@ class Client {
   /// without consuming any shared RNG stream.
   [[nodiscard]] double leg_jitter(std::uint64_t id,
                                   int generation) const noexcept;
-  /// True when any knob wants RTT samples collected.
+  /// True when any knob wants RTT samples collected — and therefore the
+  /// out-of-line Reliability block allocated.
   [[nodiscard]] bool reliability_active() const noexcept {
     return cfg_.adaptive || cfg_.hedge_percentile > 0.0;
   }
+
+  /// State that only adaptive timers and hedging read. Both default off,
+  /// so it lives out of line: the constructor allocates it iff
+  /// reliability_active(), and a default client (296 B inline) carries
+  /// one null pointer instead of these 600 bytes (the estimator's
+  /// 64-sample ring is 512).
+  struct Reliability {
+    RttEstimator estimator;
+    /// Hedge correlation id -> primary request id. A reply that misses
+    /// `gets_` but hits this table belongs to a hedge leg; one that misses
+    /// both is a late duplicate and is dropped — the guard that makes the
+    /// losing leg's reply a no-op.
+    util::SeqWindow<std::uint64_t> hedge_ids;
+  };
 
   Peer* home_;
   Network* network_;
@@ -221,18 +237,16 @@ class Client {
   std::uint64_t next_id_;
   // Pending tables keyed by the strictly increasing request id: a
   // sliding-window slot map, so the per-reply/per-timeout correlation
-  // lookup is a mask + compare instead of a hash-map walk.
+  // lookup is a mask + compare instead of a hash-map walk. Each ring is
+  // allocated on first insert, one slot to start (a PendingGet slot is
+  // 120 B), and doubles only while more requests are in flight.
   util::SeqWindow<PendingGet> gets_;
   util::SeqWindow<PendingInsert> inserts_;
-  /// Hedge correlation id -> primary request id. A reply that misses
-  /// `gets_` but hits this table belongs to a hedge leg; one that misses
-  /// both is a late duplicate and is dropped — the guard that makes the
-  /// losing leg's reply a no-op.
-  util::SeqWindow<std::uint64_t> hedge_ids_;
   std::int64_t issued_ = 0;
   std::int64_t faults_ = 0;
   std::vector<double> latencies_;
-  RttEstimator estimator_;
+  /// Null unless reliability_active(); see Reliability.
+  std::unique_ptr<Reliability> reliability_;
   // Reliability ledger cells (plain ints: audited in every build flavor).
   std::int64_t rtt_samples_ = 0;
   std::int64_t hedges_launched_ = 0;

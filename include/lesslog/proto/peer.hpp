@@ -21,6 +21,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -211,13 +212,47 @@ class Peer {
   /// of that tree; nullopt = definitive local miss.
   [[nodiscard]] std::optional<core::Pid> next_hop(core::Pid r) const;
 
+  /// In-flight file push awaiting its ack.
+  struct PendingPush {
+    Message msg;
+    int retries = 0;
+    int generation = 0;
+  };
+  /// Shed and push bookkeeping (104 B plus the map's nodes), out of
+  /// line: only the replication controller (shed_hottest) and membership
+  /// data motion (push_file) touch it, so a peer of a read-only swarm
+  /// never allocates it and stays 296 B inline. Created by cold() on the
+  /// first shed decision or push; rejoin() drops it.
+  struct Cold {
+    /// Replica placements this peer has made, per file. A peer cannot
+    /// know about copies created elsewhere (logless!), but it is the
+    /// sole author of its own sheds, so tracking them walks the children
+    /// list correctly. Deliberately still an unordered_map: touched once
+    /// per shed decision (the controller's window cadence), never per
+    /// delivered message.
+    std::unordered_map<core::FileId, std::vector<core::Pid>> placed;
+    /// In-flight file pushes awaiting acks, keyed by request id. Push
+    /// ids come from next_push_id_, strictly increasing per peer, so the
+    /// sliding-window slot map replaces a hash map on the ack/timeout
+    /// path.
+    util::SeqWindow<PendingPush> pending_pushes;
+  };
+  /// The cold block, created on first use.
+  [[nodiscard]] Cold& cold();
+  /// The pending push under `id`, or nullptr (acked, expired, or dropped
+  /// with the cold block by a rejoin — stale push timers land here).
+  [[nodiscard]] PendingPush* find_push(std::uint64_t id) noexcept {
+    return cold_ != nullptr ? cold_->pending_pushes.find(id) : nullptr;
+  }
+
   // Hot-first member order: a forwarded get reads pid_/b_/view_, probes
   // store_'s index, then touches network_/metrics_ and one counter.
   // Laying those out contiguously keeps a hop through a random
   // (cache-cold) peer to the first line or two of the object; the cold
-  // tail (reply sink, shed memory, in-flight pushes) never loads on the
-  // forwarding path. The OracleView lives inline so oracle mode stays
-  // allocation-free; view_ points at it unless a SwimView is installed.
+  // tail (reply sink, cold-block pointer, membership relay) never loads
+  // on the forwarding path. The OracleView lives inline so oracle mode
+  // stays allocation-free; view_ points at it unless a SwimView is
+  // installed.
   core::Pid pid_;
   int b_;
   util::MutableLivenessView* view_;
@@ -235,21 +270,8 @@ class Peer {
   std::int64_t busy_shed_ = 0;
   core::FileStore store_;
   ReplySink reply_sink_;
-  /// Replica placements this peer has made, per file. A peer cannot know
-  /// about copies created elsewhere (logless!), but it is the sole author
-  /// of its own sheds, so tracking them walks the children list correctly.
-  /// Deliberately still an unordered_map: touched once per shed decision
-  /// (the controller's window cadence), never per delivered message.
-  std::unordered_map<core::FileId, std::vector<core::Pid>> placed_;
-  /// In-flight file pushes awaiting acks, keyed by request id. Push ids
-  /// come from next_push_id_, strictly increasing per peer, so the
-  /// sliding-window slot map replaces a hash map on the ack/timeout path.
-  struct PendingPush {
-    Message msg;
-    int retries = 0;
-    int generation = 0;
-  };
-  util::SeqWindow<PendingPush> pending_pushes_;
+  /// Null until the first shed or push; see Cold.
+  std::unique_ptr<Cold> cold_;
   std::uint64_t next_push_id_;
   /// Cold: SWIM traffic relay into the colocated membership runtime.
   void* membership_ctx_ = nullptr;

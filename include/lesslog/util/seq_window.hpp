@@ -12,6 +12,11 @@
 // Keys inserted must be strictly increasing. Keys never inserted (the
 // counter may be shared with a sibling window) simply leave holes that
 // the window slides over.
+//
+// The ring starts at one slot and doubles on demand. Most windows hold
+// at most one live key at a time (a swarm client with one GET in
+// flight), and a ring once grown is never shrunk, so a larger first ring
+// would be paid by every instance that ever inserts, for good.
 #pragma once
 
 #include <cassert>
@@ -72,6 +77,10 @@ class SeqWindow {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  /// Slots in the ring (0 until the first insert).
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return slots_.size();
+  }
 
   void clear() noexcept {
     slots_.clear();
@@ -102,7 +111,7 @@ class SeqWindow {
     slots_.swap(grown);
   }
 
-  static constexpr std::size_t kInitialCapacity = 8;
+  static constexpr std::size_t kInitialCapacity = 1;
 
   std::vector<Slot> slots_;  ///< power-of-two ring (or empty)
   std::size_t size_ = 0;

@@ -29,6 +29,7 @@ void Reactor::add(int fd, std::uint32_t events, Callback cb) {
   epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
+  ++ctl_calls_;
   if (epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
     throw_errno("epoll_ctl(ADD)");
   }
@@ -39,6 +40,7 @@ void Reactor::modify(int fd, std::uint32_t events) {
   epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
+  ++ctl_calls_;
   if (epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
     throw_errno("epoll_ctl(MOD)");
   }
@@ -48,12 +50,14 @@ void Reactor::remove(int fd) {
   const auto it = callbacks_.find(fd);
   if (it == callbacks_.end()) return;
   // The fd may already be closed (EBADF) — deregistration still counts.
+  ++ctl_calls_;
   (void)epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
   callbacks_.erase(it);
 }
 
 int Reactor::poll(int timeout_ms) {
   std::array<epoll_event, 64> ready;
+  ++wait_calls_;
   const int n = epoll_wait(epfd_, ready.data(),
                            static_cast<int>(ready.size()), timeout_ms);
   if (n < 0) {

@@ -130,7 +130,7 @@ void ServeHost::run() {
 }
 
 void ServeHost::write_stats(std::ostream& out) const {
-  const TransportStats& t = transport_->stats();
+  const TransportStats t = transport_->stats();
   std::int64_t served = 0;
   for (const auto& peer : peers_) served += peer->served();
   out << "decode_drops=" << network_.corrupted()
@@ -142,7 +142,11 @@ void ServeHost::write_stats(std::ostream& out) const {
       << " unroutable_dropped=" << t.unroutable_dropped
       << " accepts=" << t.accepts << " connects=" << t.connects
       << " reconnects=" << t.reconnects
-      << " disconnects=" << t.disconnects << " served=" << served << "\n";
+      << " disconnects=" << t.disconnects
+      << " send_calls=" << t.send_calls << " readv_calls=" << t.readv_calls
+      << " epoll_ctl_calls=" << t.epoll_ctl_calls
+      << " epoll_wait_calls=" << t.epoll_wait_calls << " served=" << served
+      << "\n";
 }
 
 }  // namespace lesslog::net

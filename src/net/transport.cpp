@@ -10,11 +10,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 
 namespace lesslog::net {
 
@@ -236,9 +238,23 @@ void Transport::start_connect(std::size_t index) {
   }
   l.fd = fd;
   l.state = LinkState::kConnecting;
-  reactor_.add(fd, EPOLLOUT, [this, index](std::uint32_t events) {
+  watch_link(index, EPOLLOUT, [this, index](std::uint32_t events) {
     on_connect_ready(index, events);
   });
+}
+
+void Transport::watch_link(std::size_t index, std::uint32_t events,
+                           Reactor::Callback cb) {
+  OutLink& l = links_[index];
+  assert(l.interest == 0 && "unwatch the link before re-registering it");
+  reactor_.add(l.fd, events, std::move(cb));
+  l.interest = events;
+}
+
+void Transport::unwatch_link(std::size_t index) {
+  OutLink& l = links_[index];
+  reactor_.remove(l.fd);
+  l.interest = 0;
 }
 
 void Transport::on_connect_ready(std::size_t index, std::uint32_t events) {
@@ -261,12 +277,9 @@ void Transport::on_connect_ready(std::size_t index, std::uint32_t events) {
   // Swap the connect-completion callback for the steady-state one:
   // EPOLLIN detects peer close (the peer never writes on this socket);
   // EPOLLOUT only while the queue has bytes to flush.
-  reactor_.remove(l.fd);
-  reactor_.add(l.fd,
-               EPOLLIN | (queued_bytes(l) > 0 ? EPOLLOUT : 0u),
-               [this, index](std::uint32_t ev) {
-                 on_out_readable(index, ev);
-               });
+  unwatch_link(index);
+  watch_link(index, EPOLLIN | (queued_bytes(l) > 0 ? EPOLLOUT : 0u),
+             [this, index](std::uint32_t ev) { on_out_readable(index, ev); });
   flush(index);
 }
 
@@ -292,7 +305,7 @@ void Transport::on_out_readable(std::size_t index, std::uint32_t events) {
 void Transport::fail_link(std::size_t index) {
   OutLink& l = links_[index];
   if (l.fd >= 0) {
-    reactor_.remove(l.fd);
+    unwatch_link(index);
     close_quiet(l.fd);
     l.fd = -1;
   }
@@ -306,6 +319,7 @@ void Transport::fail_link(std::size_t index) {
 void Transport::flush(std::size_t index) {
   OutLink& l = links_[index];
   while (queued_bytes(l) > 0) {
+    ++stats_.send_calls;
     const ssize_t n =
         ::send(l.fd, l.queue.data() + l.queue_head, queued_bytes(l),
                MSG_NOSIGNAL);
@@ -335,8 +349,11 @@ void Transport::flush(std::size_t index) {
 void Transport::update_out_interest(std::size_t index) {
   OutLink& l = links_[index];
   if (l.fd < 0 || l.state != LinkState::kConnected) return;
-  reactor_.modify(l.fd,
-                  EPOLLIN | (queued_bytes(l) > 0 ? EPOLLOUT : 0u));
+  const std::uint32_t wanted =
+      EPOLLIN | (queued_bytes(l) > 0 ? EPOLLOUT : 0u);
+  if (wanted == l.interest) return;  // the common drained-link send
+  reactor_.modify(l.fd, wanted);
+  l.interest = wanted;
 }
 
 bool Transport::send(core::Pid to, const proto::WireBuffer& wire) {
@@ -449,6 +466,7 @@ void Transport::on_in_readable(int fd, std::uint32_t events) {
     }
     return;
   }
+  ++stats_.readv_calls;
   const ssize_t n = ::readv(fd, iov, iovcnt);
   if (n == 0) {
     close_in(fd);
@@ -483,9 +501,10 @@ void Transport::close() {
     close_quiet(listen_fd_);
     listen_fd_ = -1;
   }
-  for (OutLink& l : links_) {
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    OutLink& l = links_[i];
     if (l.fd >= 0) {
-      reactor_.remove(l.fd);
+      unwatch_link(i);
       close_quiet(l.fd);
       l.fd = -1;
     }

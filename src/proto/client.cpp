@@ -59,7 +59,13 @@ Client::Client(Peer& home, Network& network, ClientConfig cfg)
       // never collide.
       next_id_((std::uint64_t{home.pid().value()} << 32) + 1) {
   cfg.validate();
+  if (reliability_active()) reliability_ = std::make_unique<Reliability>();
   home_->set_reply_sink([this](const Message& m) { on_reply(m); });
+}
+
+const RttEstimator& Client::estimator() const noexcept {
+  static const RttEstimator kUnprimed;
+  return reliability_ != nullptr ? reliability_->estimator : kUnprimed;
 }
 
 ReliabilityLedger Client::ledger() const noexcept {
@@ -170,7 +176,8 @@ void Client::arm_get_timeout(std::uint64_t id, int generation) {
   }
   const PendingGet* g = gets_.find(id);
   const int retries = g != nullptr ? g->retries : 0;
-  double delay = estimator_.rto(cfg_.timeout, cfg_.rto_floor, cfg_.rto_cap);
+  double delay = reliability_->estimator.rto(cfg_.timeout, cfg_.rto_floor,
+                                            cfg_.rto_cap);
   for (int i = 0; i < retries && delay < cfg_.rto_cap; ++i) {
     delay *= cfg_.backoff_base;
   }
@@ -259,8 +266,9 @@ void Client::migrate_get(std::uint64_t id, PendingGet* found, int hops,
 }
 
 void Client::arm_hedge(std::uint64_t id) {
-  double delay = estimator_.window_size() >= kHedgeWarmup
-                     ? estimator_.percentile(cfg_.hedge_percentile)
+  const RttEstimator& estimator = reliability_->estimator;
+  double delay = estimator.window_size() >= kHedgeWarmup
+                     ? estimator.percentile(cfg_.hedge_percentile)
                      : 0.5 * cfg_.timeout;
   // Colocated serves contribute near-zero samples; never hedge *faster*
   // than the adaptive floor.
@@ -287,7 +295,7 @@ void Client::launch_hedge(std::uint64_t id, PendingGet& g) {
   g.hedged = true;
   g.hedge_attempt = alt;
   g.hedge_id = hedge_id;
-  hedge_ids_.insert(hedge_id, id);
+  reliability_->hedge_ids.insert(hedge_id, id);
   ++hedges_launched_;
   LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->hedges->inc());
   Message m;
@@ -346,7 +354,8 @@ void Client::finish_get(std::uint64_t id, PendingGet* found, bool ok,
       LESSLOG_METRICS(
           if (metrics_ != nullptr) metrics_->hedge_cancels->inc());
     }
-    hedge_ids_.erase(g.hedge_id);  // no-op if the hedge already resolved
+    // No-op if the hedge already resolved.
+    reliability_->hedge_ids.erase(g.hedge_id);
   }
   if (ok) {
     latencies_.push_back(result.latency);
@@ -357,9 +366,9 @@ void Client::finish_get(std::uint64_t id, PendingGet* found, bool ok,
     // first transmission — no retry, no migration, no hedge — yields an
     // unambiguous round-trip sample. Zero-latency colocated serves never
     // crossed the wire and are excluded too.
-    if (reliability_active() && g.transmissions == 1 && !g.hedged &&
+    if (reliability_ != nullptr && g.transmissions == 1 && !g.hedged &&
         result.latency > 0.0) {
-      estimator_.add_sample(result.latency);
+      reliability_->estimator.add_sample(result.latency);
       ++rtt_samples_;
       LESSLOG_METRICS(
           if (metrics_ != nullptr) metrics_->rtt_samples->inc());
@@ -385,14 +394,16 @@ void Client::on_reply(const Message& m) {
   bool hedge_leg = false;
   PendingGet* found = gets_.find(id);
   if (found == nullptr) {
-    const std::uint64_t* primary = hedge_ids_.find(m.request_id);
+    const std::uint64_t* primary =
+        reliability_ != nullptr ? reliability_->hedge_ids.find(m.request_id)
+                                : nullptr;
     if (primary == nullptr) return;  // late duplicate after completion
     id = *primary;
     hedge_leg = true;
     found = gets_.find(id);
     if (found == nullptr) {
       // The primary finished while this alias lingered; retire it.
-      hedge_ids_.erase(m.request_id);
+      reliability_->hedge_ids.erase(m.request_id);
       return;
     }
   }
@@ -403,7 +414,7 @@ void Client::on_reply(const Message& m) {
     if (hedge_leg && g.subtree_attempt != g.hedge_attempt) {
       // The shed hedge leg is abandoned; the primary leg keeps going.
       g.hedge_resolved = true;
-      hedge_ids_.erase(m.request_id);
+      reliability_->hedge_ids.erase(m.request_id);
       return;
     }
     // The serving subtree refused us: migrate, but only after a backoff
@@ -420,7 +431,7 @@ void Client::on_reply(const Message& m) {
     // Definitive miss on the hedge leg while the primary still works an
     // earlier subtree: remember the answer, don't disturb the primary.
     g.hedge_resolved = true;
-    hedge_ids_.erase(m.request_id);
+    reliability_->hedge_ids.erase(m.request_id);
     return;
   }
   // Definitive miss in that subtree: migrate to the next identifier.

@@ -73,8 +73,7 @@ void Peer::detach() { network_->detach(pid_); }
 void Peer::rejoin(util::CowStatus fresh_status) {
   view_->reset(std::move(fresh_status));
   store_ = core::FileStore{};
-  placed_.clear();
-  pending_pushes_.clear();  // stale push timers see an empty map: no-ops
+  cold_.reset();  // stale push timers find nothing: no-ops
   served_ = 0;
   forwarded_ = 0;
   // A rejoined node starts with a full service budget; busy_shed_ is a
@@ -82,6 +81,11 @@ void Peer::rejoin(util::CowStatus fresh_status) {
   busy_tokens_ = static_cast<double>(cfg_.busy_budget);
   busy_last_refill_ = network_->engine().now();
   attach();
+}
+
+Peer::Cold& Peer::cold() {
+  if (cold_ == nullptr) cold_ = std::make_unique<Cold>();
+  return *cold_;
 }
 
 void Peer::handle(const Message& m) {
@@ -337,7 +341,7 @@ void Peer::on_file_push(const Message& m) {
 }
 
 void Peer::on_push_ack(const Message& m) {
-  pending_pushes_.erase(m.request_id);
+  if (cold_ != nullptr) cold_->pending_pushes.erase(m.request_id);
 }
 
 void Peer::on_reclaim(const Message& m) {
@@ -374,24 +378,24 @@ void Peer::push_file(core::FileId f, std::uint64_t version, core::Pid to) {
   // Every kFilePush is membership repair traffic (reclaim, graceful
   // leave, crash recovery) — the chaos bench reports this as repair cost.
   LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->repair_pushes->inc());
-  pending_pushes_.insert(push.request_id, PendingPush{push, 0, 0});
+  cold().pending_pushes.insert(push.request_id, PendingPush{push, 0, 0});
   transmit_push(push.request_id);
 }
 
 void Peer::transmit_push(std::uint64_t id) {
-  PendingPush* pending = pending_pushes_.find(id);
+  PendingPush* pending = find_push(id);
   if (pending == nullptr) return;
   network_->send(pending->msg);
   const int retries = pending->retries;
   const int generation = ++pending->generation;
   const auto expire = [this, id, generation] {
-    PendingPush* entry = pending_pushes_.find(id);
+    PendingPush* entry = find_push(id);
     if (entry == nullptr) return;  // acked
     if (entry->generation != generation) return;  // stale timer
     if (entry->retries >= cfg_.push_max_retries) {
       // Out of budget: drop the transfer. The next membership event (or
       // the System-level bookkeeping in tests) re-detects the gap.
-      pending_pushes_.erase(id);
+      cold_->pending_pushes.erase(id);
       return;
     }
     ++entry->retries;
@@ -437,7 +441,7 @@ std::optional<core::Pid> Peer::shed_hottest() {
 
   const util::StatusWord& st = status();
   const core::LookupTree tree(st.width(), target_of(*hottest));
-  std::vector<core::Pid>& mine = placed_[*hottest];
+  std::vector<core::Pid>& mine = cold().placed[*hottest];
   const core::HoldsCopyFn holds = [this, &mine](core::Pid p) {
     if (p == pid_) return true;
     return std::find(mine.begin(), mine.end(), p) != mine.end();

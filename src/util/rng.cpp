@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <unordered_set>
 
 namespace lesslog::util {
 
@@ -56,14 +57,18 @@ double Rng::normal() noexcept {
 std::vector<std::uint32_t> Rng::sample_indices(std::uint32_t n,
                                                std::uint32_t k) {
   assert(k <= n);
-  // Floyd's algorithm: O(k) expected insertions, no O(n) scratch.
+  // Floyd's algorithm: k draws, O(k) expected time and O(k) scratch (a
+  // hash set answers "already chosen?"), never O(n).
   std::vector<std::uint32_t> out;
   out.reserve(k);
+  std::unordered_set<std::uint32_t> chosen;
+  chosen.reserve(k);
   for (std::uint32_t j = n - k; j < n; ++j) {
     const auto t = static_cast<std::uint32_t>(bounded(j + 1u));
-    if (std::find(out.begin(), out.end(), t) == out.end()) {
+    if (chosen.insert(t).second) {
       out.push_back(t);
     } else {
+      chosen.insert(j);  // j > every earlier pick, so it is always free
       out.push_back(j);
     }
   }

@@ -119,6 +119,39 @@ TEST(Transport, DeliversFramesBetweenTwoProcesses) {
             static_cast<std::int64_t>(100 * proto::kWireSize));
 }
 
+TEST(Transport, DrainedLinkSendIsOneSyscallAndNoEpollCtl) {
+  // Steady state on a connected link whose queue is empty: each frame is
+  // one send(2) that writes it whole, and the registered interest
+  // (EPOLLIN only) never changes, so no epoll_ctl(2) rides along.
+  Transport a(two_nodes(), 0);
+  Transport b(two_nodes(), 1);
+  std::size_t got = 0;
+  b.set_frame_handler([&](const proto::WireBuffer&) { ++got; });
+  a.bind();
+  b.bind();
+  a.set_peer_port(1, b.listen_port());
+  b.set_peer_port(0, a.listen_port());
+  a.connect_all();
+  b.connect_all();
+  ASSERT_TRUE(pump(a, b, 2000,
+                   [&] { return a.fully_connected() && b.fully_connected(); }));
+
+  util::Rng rng(17);
+  constexpr int kFrames = 64;
+  const TransportStats before = a.stats();
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(a.send(core::Pid{40}, some_frame(rng, 40)));
+  }
+  const TransportStats after = a.stats();
+  EXPECT_EQ(after.send_calls - before.send_calls, kFrames);
+  EXPECT_EQ(after.epoll_ctl_calls - before.epoll_ctl_calls, 0);
+  EXPECT_EQ(after.epoll_wait_calls - before.epoll_wait_calls, 0);
+
+  ASSERT_TRUE(pump(a, b, 2000, [&] { return got == kFrames; }));
+  EXPECT_GE(b.stats().readv_calls, 1);
+  EXPECT_GT(a.stats().epoll_wait_calls, after.epoll_wait_calls);
+}
+
 TEST(Transport, SendToUnmappedOrSelfPidIsACountedDrop) {
   Transport a(two_nodes(), 0);
   util::Rng rng(3);

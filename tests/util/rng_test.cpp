@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -173,6 +175,66 @@ TEST(Rng, SampleAllIsIdentitySet) {
   Rng rng(37);
   const std::vector<std::uint32_t> s = rng.sample_indices(16, 16);
   for (std::uint32_t i = 0; i < 16; ++i) EXPECT_EQ(s[i], i);
+}
+
+/// FNV-1a over a sample plus the generator's next raw draw, so a pin
+/// covers both the chosen indices and how many draws produced them.
+std::uint64_t sample_digest(const std::vector<std::uint32_t>& s, Rng& rng) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFFU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(s.size());
+  for (const std::uint32_t v : s) mix(v);
+  mix(rng());
+  return h;
+}
+
+TEST(Rng, SampleIndicesPinnedOutputs) {
+  // Outputs recorded from the linear-scan Floyd implementation: the
+  // membership structure is an implementation detail, so the draws and
+  // the sorted sample must never move.
+  {
+    Rng rng(1);
+    EXPECT_EQ(rng.sample_indices(10, 3),
+              (std::vector<std::uint32_t>{4, 5, 9}));
+  }
+  {
+    Rng rng(42);
+    EXPECT_EQ(rng.sample_indices(1000, 12),
+              (std::vector<std::uint32_t>{82, 290, 375, 582, 673, 681, 715,
+                                          759, 765, 846, 917, 984}));
+  }
+  struct Case {
+    std::uint64_t seed;
+    std::uint32_t n;
+    std::uint32_t k;
+    std::uint64_t digest;
+  };
+  for (const Case& c : {Case{7, 100, 100, 0x4ee28af0de530176ULL},
+                        Case{0xC0FFEE, 65536, 4096, 0x8bc72eb8a9323c9dULL},
+                        Case{2024, 4096, 4096, 0x37161927f36e9fc7ULL}}) {
+    Rng rng(c.seed);
+    const std::vector<std::uint32_t> s = rng.sample_indices(c.n, c.k);
+    EXPECT_EQ(sample_digest(s, rng), c.digest)
+        << "seed=" << c.seed << " n=" << c.n << " k=" << c.k;
+  }
+}
+
+TEST(Rng, SampleHalfOfMillionIsFast) {
+  // k = 2^19 of 2^20 took tens of seconds when membership was a linear
+  // scan; with a hash set it is k expected O(1) probes.
+  Rng rng(99);
+  const std::vector<std::uint32_t> s =
+      rng.sample_indices(std::uint32_t{1} << 20, std::uint32_t{1} << 19);
+  ASSERT_EQ(s.size(), std::size_t{1} << 19);
+  EXPECT_TRUE(std::adjacent_find(s.begin(), s.end(),
+                                 std::greater_equal<>()) == s.end());
+  EXPECT_LT(s.back(), std::uint32_t{1} << 20);
+  EXPECT_EQ(sample_digest(s, rng), 0xcd4e994c35020458ULL);
 }
 
 TEST(Rng, SampleIsRoughlyUniform) {

@@ -53,6 +53,23 @@ TEST(SeqWindow, GrowsPastInitialCapacity) {
   }
 }
 
+TEST(SeqWindow, FirstRingIsOneSlotAndDoubles) {
+  // One key in flight at a time (a client's lone GET) never grows the
+  // ring past its first slot; a burst doubles it only as far as needed.
+  SeqWindow<int> w;
+  EXPECT_EQ(w.capacity(), 0u);
+  for (std::uint64_t id = 0; id < 100; ++id) {
+    w.insert(id, 1);
+    EXPECT_TRUE(w.erase(id));
+  }
+  EXPECT_EQ(w.capacity(), 1u);
+  for (std::uint64_t id = 100; id < 105; ++id) w.insert(id, 1);
+  EXPECT_EQ(w.capacity(), 8u);
+  for (std::uint64_t id = 100; id < 105; ++id) {
+    ASSERT_NE(w.find(id), nullptr) << id;
+  }
+}
+
 TEST(SeqWindow, SlidingUseStaysSmall) {
   // The hot-path pattern: insert a new id, erase an old one — the live
   // span stays narrow, so the ring never needs to grow after warm-up.
