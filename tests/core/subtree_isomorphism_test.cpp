@@ -5,6 +5,8 @@
 // tree's VIDs one-to-one.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "lesslog/core/children_list.hpp"
 #include "lesslog/core/fault_tolerant.hpp"
 #include "lesslog/core/find_live_node.hpp"
@@ -13,24 +15,30 @@
 namespace lesslog::core {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, padding
+// included. The padding is spelled out and zeroed so the names do not pick
+// up stack garbage and stay the same from build to build.
 struct IsoCase {
   int m;
   int b;
   std::uint32_t root;
+  std::uint32_t pad0 = 0;
   std::uint64_t seed;
   std::uint32_t dead;
+  std::uint32_t pad1 = 0;
 };
+static_assert(std::has_unique_object_representations_v<IsoCase>);
 
 class SubtreeIsomorphism : public ::testing::TestWithParam<IsoCase> {
  protected:
   void SetUp() override {
-    const auto [m, b, root, seed, dead] = GetParam();
-    tree_.emplace(m, Pid{root});
-    view_.emplace(*tree_, b);
-    live_.emplace(m, util::space_size(m));
-    util::Rng rng(seed);
+    const IsoCase& c = GetParam();
+    tree_.emplace(c.m, Pid{c.root});
+    view_.emplace(*tree_, c.b);
+    live_.emplace(c.m, util::space_size(c.m));
+    util::Rng rng(c.seed);
     for (const std::uint32_t d :
-         rng.sample_indices(util::space_size(m), dead)) {
+         rng.sample_indices(util::space_size(c.m), c.dead)) {
       live_->set_dead(d);
     }
   }
@@ -132,10 +140,15 @@ TEST_P(SubtreeIsomorphism, LiveVidAboveMaps) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, SubtreeIsomorphism,
-    ::testing::Values(IsoCase{4, 1, 4, 1, 0}, IsoCase{4, 2, 4, 2, 4},
-                      IsoCase{5, 1, 19, 3, 8}, IsoCase{5, 2, 19, 4, 10},
-                      IsoCase{6, 2, 42, 5, 20}, IsoCase{6, 3, 42, 6, 16},
-                      IsoCase{7, 3, 100, 7, 40}, IsoCase{8, 4, 200, 8, 64}));
+    ::testing::Values(
+        IsoCase{.m = 4, .b = 1, .root = 4, .seed = 1, .dead = 0},
+        IsoCase{.m = 4, .b = 2, .root = 4, .seed = 2, .dead = 4},
+        IsoCase{.m = 5, .b = 1, .root = 19, .seed = 3, .dead = 8},
+        IsoCase{.m = 5, .b = 2, .root = 19, .seed = 4, .dead = 10},
+        IsoCase{.m = 6, .b = 2, .root = 42, .seed = 5, .dead = 20},
+        IsoCase{.m = 6, .b = 3, .root = 42, .seed = 6, .dead = 16},
+        IsoCase{.m = 7, .b = 3, .root = 100, .seed = 7, .dead = 40},
+        IsoCase{.m = 8, .b = 4, .root = 200, .seed = 8, .dead = 64}));
 
 }  // namespace
 }  // namespace lesslog::core
