@@ -197,7 +197,7 @@ int run_smoke(const bench::BenchArgs& args) {
             << " -> " << (ok ? "PASS" : "FAIL") << "\n";
   const int metrics_rc = bench::emit_metrics(
       args, "abl_membership", cfg.seed,
-      driver.sharded()->metrics_snapshot(first.sim_time));
+      driver.swarm().metrics_snapshot(first.sim_time));
   return (ok && metrics_rc == 0) ? 0 : 1;
 }
 

@@ -1,6 +1,6 @@
 // Replay artifacts: a violating chaos run serialized for exact re-runs.
 //
-// The artifact is a single JSON document ("lesslog.chaos" version 1)
+// The artifact is a single JSON document ("lesslog.chaos" version 2)
 // carrying the ChaosConfig (which, with its seed, fully determines the
 // run), the schedule as it executed, and the violations observed. To
 // replay, only the config is needed — replay() re-runs the driver from
@@ -22,7 +22,10 @@ namespace lesslog::chaos {
 bool write_artifact(const std::string& path, const Report& report);
 
 /// Parses the config out of an artifact (the replayable core). Throws
-/// std::invalid_argument on malformed input.
+/// std::invalid_argument on malformed input, and on a version-1 artifact
+/// of a single-shard oracle run: that run used a driver path that no
+/// longer exists, so no replay can reproduce it. Version-1 artifacts of
+/// S > 1 or SWIM runs replay as before.
 [[nodiscard]] ChaosConfig config_from_artifact(const std::string& json);
 
 /// Re-runs the driver from the artifact's config.

@@ -31,13 +31,11 @@ struct ChaosConfig {
   double fault_intensity = 0.5;  ///< scales every fault probability, [0, 1]
   int files = 48;                ///< ψ-named catalog size
   double get_rate = 20.0;        ///< Poisson GETs/sec during an epoch
-  /// Engine shards for the swarm under test. 1 = the serial proto::Swarm
-  /// (the original driver, byte-identical to before this knob existed);
-  /// > 1 = proto::ShardedSwarm with a pre-materialized top-level op
-  /// timeline (see Driver::run_sharded). Each shard count is its own
-  /// determinism domain: runs replay bit-identically at the same S, but
-  /// S = 2 and the serial driver draw the chaos stream in different
-  /// orders.
+  /// Engine shards for the proto::ShardedSwarm under test. Every shard
+  /// count runs the same pre-materialized top-level op timeline, so the
+  /// chaos stream draws in the same order at any S; link jitter comes
+  /// from per-shard engine streams, though, so each shard count is its
+  /// own determinism domain: runs replay bit-identically at the same S.
   std::size_t shards = 1;
 
   // Fault-class toggles (the intensity sweep flips these off to isolate
@@ -60,8 +58,6 @@ struct ChaosConfig {
   /// the failure detector's own convergence — after each epoch settles,
   /// the driver runs extra protocol periods until every live agent's
   /// belief matches ground truth (capped by swim_convergence_rounds).
-  /// Always runs on the sharded driver path, even at shards == 1, so the
-  /// chaos stream draws in the same order for every shard count.
   bool swim = false;
   double swim_period = 1.0;          ///< protocol period T (sim seconds)
   double swim_direct_timeout = 0.25; ///< direct-ack wait before proxies

@@ -57,7 +57,7 @@ void emit_rule(std::ostringstream& os, const RuleRecord& rec) {
 std::string artifact_to_json(const Report& report) {
   const ChaosConfig& c = report.config;
   std::ostringstream os;
-  os << "{\"schema\":\"lesslog.chaos\",\"version\":1,";
+  os << "{\"schema\":\"lesslog.chaos\",\"version\":2,";
   // seed as a string: JSON numbers are doubles and lose 64-bit integers.
   os << "\"config\":{\"m\":" << c.m << ",\"b\":" << c.b
      << ",\"nodes\":" << c.nodes << ",\"seed\":\"" << c.seed << "\""
@@ -184,6 +184,17 @@ ChaosConfig config_from_artifact(const std::string& json) {
   if (!cfg.is_object()) {
     throw std::invalid_argument("chaos artifact: config must be an object");
   }
+  // Version 1 predates the single timeline driver. Its S > 1 and SWIM
+  // runs already used that driver and replay unchanged; its other runs
+  // drew GET arrivals from the engine stream and drained late restarts
+  // at the epoch end, a schedule no build can reproduce any more.
+  int version = 1;
+  if (const util::minijson::Value* v = doc->find("version")) {
+    if (!v->is_number() || (v->number != 1.0 && v->number != 2.0)) {
+      throw std::invalid_argument("chaos artifact: unsupported version");
+    }
+    version = static_cast<int>(v->number);
+  }
   ChaosConfig out;
   out.m = static_cast<int>(require(cfg, "m").number);
   out.b = static_cast<int>(require(cfg, "b").number);
@@ -194,7 +205,7 @@ ChaosConfig config_from_artifact(const std::string& json) {
   out.fault_intensity = require(cfg, "fault_intensity").number;
   out.files = static_cast<int>(require(cfg, "files").number);
   out.get_rate = require(cfg, "get_rate").number;
-  // Absent in pre-sharding artifacts; those replay on the serial swarm.
+  // Absent in pre-sharding artifacts, which ran one shard.
   if (const util::minijson::Value* shards = cfg.find("shards")) {
     out.shards = static_cast<std::size_t>(shards->number);
   }
@@ -248,6 +259,12 @@ ChaosConfig config_from_artifact(const std::string& json) {
   }
   if (const util::minijson::Value* v = cfg.find("busy_refill")) {
     out.busy_refill = v->number;
+  }
+  if (version == 1 && out.shards == 1 && !out.swim) {
+    throw std::invalid_argument(
+        "chaos artifact: version 1 single-shard oracle run cannot be "
+        "replayed: it ran on the removed serial chaos driver, whose "
+        "schedule the timeline driver does not reproduce");
   }
   out.validate();
   return out;

@@ -109,6 +109,67 @@ TEST(Replay, ViolatingRunReplaysBitIdentically) {
   EXPECT_EQ(json, artifact_to_json(replayed));
 }
 
+/// The artifact rewritten as the version-1 format wrote it: the version
+/// number is the only difference between the two formats.
+std::string as_version_1(const std::string& json) {
+  const std::string v2 = "\"version\":2,";
+  const std::size_t at = json.find(v2);
+  EXPECT_NE(at, std::string::npos) << json.substr(0, 64);
+  std::string out = json;
+  if (at != std::string::npos) out.replace(at, v2.size(), "\"version\":1,");
+  return out;
+}
+
+TEST(Replay, VersionOneSingleShardOracleArtifactIsRejected) {
+  // Version-1 single-shard oracle runs used a driver path that drew GET
+  // arrivals from the engine stream; no build reproduces that schedule,
+  // so the replay must refuse instead of silently diverging.
+  Report report;
+  report.config = broken_config();
+  const std::string v1 = as_version_1(artifact_to_json(report));
+  try {
+    (void)config_from_artifact(v1);
+    FAIL() << "version-1 single-shard artifact accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("chaos artifact: "), std::string::npos) << what;
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+  }
+  // Artifacts from before the shard knob carry no "shards" key: one
+  // shard, rejected the same way.
+  std::string no_shards = v1;
+  const std::size_t at = no_shards.find(",\"shards\":1");
+  ASSERT_NE(at, std::string::npos);
+  no_shards.erase(at, std::string(",\"shards\":1").size());
+  EXPECT_THROW((void)config_from_artifact(no_shards),
+               std::invalid_argument);
+  // A version this build does not know is rejected too.
+  std::string v9 = v1;
+  v9.replace(v9.find("\"version\":1"), 11, "\"version\":9");
+  EXPECT_THROW((void)config_from_artifact(v9), std::invalid_argument);
+}
+
+TEST(Replay, VersionOneShardedAndSwimArtifactsStillReplay) {
+  // S > 1 and SWIM runs always used the timeline driver, so their
+  // version-1 artifacts replay bit-identically.
+  ChaosConfig sharded = broken_config();
+  sharded.shards = 2;
+  const Report original = Driver(sharded).run();
+  ASSERT_FALSE(original.clean());
+  const Report replayed = replay(as_version_1(artifact_to_json(original)));
+  EXPECT_TRUE(same_outcome(original, replayed));
+
+  ChaosConfig swim = broken_config();
+  swim.silent_crashes = false;
+  swim.swim = true;
+  Report swim_report;
+  swim_report.config = swim;
+  const ChaosConfig back =
+      config_from_artifact(as_version_1(artifact_to_json(swim_report)));
+  EXPECT_TRUE(back.swim);
+  EXPECT_EQ(back.shards, 1U);
+}
+
 TEST(Replay, WriteArtifactProducesAReloadableFile) {
   Report report = Driver(broken_config()).run();
   const std::string path = ::testing::TempDir() + "lesslog_chaos_artifact.json";

@@ -1,6 +1,6 @@
 # Gate for the CLI's corrupt-artifact handling: `lesslog_cli chaos
 # --replay <file>` on a damaged artifact must exit 2 (usage/error
-# convention) with a diagnosis naming the syntax problem — never crash,
+# convention) with a diagnosis naming the problem — never crash,
 # never exit 0/1 as if the replay ran.
 #
 # Invoked as a ctest:
@@ -44,3 +44,9 @@ expect_rejection(unicode
 expect_rejection(truncated
   "{\"schema\":\"lesslog.chaos\","
   "at byte")
+
+# A version-1 artifact of a single-shard oracle run: well-formed, but
+# recorded on a driver path that no longer exists, so it cannot replay.
+expect_rejection(serial_v1
+  "{\"schema\":\"lesslog.chaos\",\"version\":1,\"config\":{\"m\":6,\"b\":2,\"nodes\":40,\"seed\":\"1\",\"epochs\":5,\"epoch_length\":30,\"fault_intensity\":0.5,\"files\":48,\"get_rate\":20,\"bursts\":true,\"partitions\":true,\"corruption\":true,\"duplicates\":true,\"delay_spikes\":true,\"crashes\":true,\"churn\":true,\"silent_crashes\":false}}"
+  "version 1")
