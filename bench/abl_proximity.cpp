@@ -13,7 +13,7 @@
 
 #include "bench_common.hpp"
 
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/stats.hpp"
 
 namespace {
@@ -29,16 +29,16 @@ struct StretchStats {
 
 StretchStats measure_stretch(int m, int replicas_per_file,
                              std::uint64_t seed, int probes) {
-  proto::Swarm::Config cfg;
+  proto::ShardedSwarm::Config cfg;
   cfg.m = m;
   cfg.b = 0;
   cfg.nodes = util::space_size(m);
   cfg.seed = seed;
   cfg.net.base_latency = 0.001;
   cfg.net.jitter = 0.0;
-  proto::Swarm swarm(cfg);
-  swarm.network().enable_geography(
-      {.slots = util::space_size(m), .seed = seed, .latency_per_unit = 0.08});
+  cfg.geo = proto::Geography{
+      .slots = util::space_size(m), .seed = seed, .latency_per_unit = 0.08};
+  proto::ShardedSwarm swarm(cfg);
 
   // A handful of files, optionally pre-replicated by the LessLog rule.
   std::vector<core::FileId> files;
@@ -89,7 +89,7 @@ StretchStats measure_stretch(int m, int replicas_per_file,
       if (swarm.peer(core::Pid{p}).store().has(f)) {
         best_direct = std::min(
             best_direct,
-            2.0 * swarm.network().link_latency(at, core::Pid{p}));
+            2.0 * swarm.network(0).link_latency(at, core::Pid{p}));
       }
     }
     (void)server;
@@ -102,7 +102,7 @@ StretchStats measure_stretch(int m, int replicas_per_file,
   out.mean = util::percentile(stretches, 50.0);
   out.p95 = util::percentile(stretches, 95.0);
   out.mean_latency_ms = latency.mean();
-  out.snap = swarm.registry().snapshot(swarm.engine().now());
+  out.snap = swarm.metrics_snapshot(swarm.engine(0).now());
   return out;
 }
 

@@ -16,7 +16,7 @@
 #include "bench_common.hpp"
 
 #include "lesslog/baseline/policy.hpp"
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 
 namespace {
 
@@ -31,32 +31,32 @@ struct WireCell {
 
 WireCell run_wire(double rate, double capacity, double duration,
                   std::uint64_t seed) {
-  proto::Swarm::Config cfg;
+  proto::ShardedSwarm::Config cfg;
   cfg.m = 10;
   cfg.b = 0;
   cfg.nodes = 1024;
   cfg.seed = seed;
   cfg.net.base_latency = 0.002;
   cfg.net.jitter = 0.001;
-  proto::Swarm swarm(cfg);
+  proto::ShardedSwarm swarm(cfg);
 
   const core::FileId f = swarm.insert_named(0xF16'5EEDULL + seed, core::Pid{0});
   const core::Pid target = swarm.peer(core::Pid{0}).target_of(f);
   swarm.settle();
 
-  swarm.engine().poisson_process(rate, duration, [&swarm, f, target] {
+  swarm.engine(0).poisson_process(rate, duration, [&swarm, f, target] {
     const core::Pid at{
-        static_cast<std::uint32_t>(swarm.engine().rng().bounded(1024))};
+        static_cast<std::uint32_t>(swarm.engine(0).rng().bounded(1024))};
     swarm.get(f, target, at);
   });
   swarm.enable_auto_replication(capacity, /*window=*/1.0, duration);
-  swarm.engine().run_until(duration - 1.0);
+  swarm.engine(0).run_until(duration - 1.0);
 
   // Final measurement window.
   for (std::uint32_t p = 0; p < 1024; ++p) {
     swarm.peer(core::Pid{p}).reset_window();
   }
-  swarm.engine().run_until(duration);
+  swarm.engine(0).run_until(duration);
   WireCell cell;
   cell.replicas = static_cast<int>(swarm.auto_replicas());
   for (std::uint32_t p = 0; p < 1024; ++p) {
@@ -66,7 +66,7 @@ WireCell run_wire(double rate, double capacity, double duration,
   }
   swarm.settle();
   cell.faults = swarm.total_faults();
-  cell.snap = swarm.registry().snapshot(swarm.engine().now());
+  cell.snap = swarm.metrics_snapshot(swarm.engine(0).now());
   return cell;
 }
 

@@ -236,7 +236,7 @@ inline void write_json(const std::string& path, const BenchArgs& args,
 }
 
 /// Runs `n` independent bench cells on a thread pool and returns the
-/// results gathered in cell-index order. Each cell owns its Swarm/Engine,
+/// results gathered in cell-index order. Each cell owns its swarm or engine,
 /// so cells share nothing; collecting by index makes the output (and any
 /// downstream float summation done in index order) byte-identical for
 /// every --threads value, including 1.

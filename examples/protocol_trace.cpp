@@ -13,14 +13,14 @@ int main(int argc, char** argv) {
   using namespace lesslog;
   using core::Pid;
 
-  proto::Swarm::Config cfg;
+  proto::ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 0;
   cfg.nodes = 16;
   cfg.seed = 3;
   cfg.net.base_latency = 0.010;
   cfg.net.jitter = 0.0;
-  proto::Swarm swarm(cfg);
+  proto::ShardedSwarm swarm(cfg);
   proto::Trace trace(swarm);
 
   std::cout << "16-peer LessLog swarm, 10 ms links. Messages on the wire:\n";
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     trace.write_jsonl(out);
     std::cout << "\ntrace written to " << argv[2] << "\n";
   }
-  std::cout << "\ntotal datagrams: " << swarm.network().messages_sent()
-            << " (" << swarm.network().bytes_sent() << " bytes)\n";
+  std::cout << "\ntotal datagrams: " << swarm.messages_sent()
+            << " (" << swarm.bytes_sent() << " bytes)\n";
   return 0;
 }

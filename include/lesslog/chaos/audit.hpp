@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "lesslog/proto/fault.hpp"
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 
 namespace lesslog::chaos {
 
@@ -66,21 +66,14 @@ class Audit {
   /// cumulative for its lifetime). `issued` / `completed` are the chaos
   /// workload's GET ledger. Issues one probe GET per key (then settles),
   /// so call only at quiescence.
-  ///
-  /// AnySwarm is proto::Swarm or proto::ShardedSwarm (instantiated for
-  /// both in audit.cpp): the checks read only the shared swarm surface —
-  /// aggregate network counters, ground-truth status, peers, and the
-  /// data-plane get() — so one definition audits both deployments.
-  template <typename AnySwarm>
-  static void check(AnySwarm& swarm,
+  static void check(proto::ShardedSwarm& swarm,
                     const std::vector<std::uint64_t>& keys,
                     const proto::FaultStats& injected, std::int64_t issued,
                     std::int64_t completed, int epoch,
                     std::vector<Violation>& out);
 
   /// True when any live peer's store holds `f` (ground truth scan).
-  template <typename AnySwarm>
-  [[nodiscard]] static bool live_copy_exists(AnySwarm& swarm,
+  [[nodiscard]] static bool live_copy_exists(proto::ShardedSwarm& swarm,
                                              core::FileId f);
 
   /// SWIM-mode invariants, run at the same quiescent point as check():

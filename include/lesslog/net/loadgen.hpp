@@ -13,7 +13,7 @@
 // Two phases:
 //   1. Insert: `files` files are placed via kInsertRequest to each
 //      holder that core::SubtreeView::insertion_targets resolves (the
-//      same placement the simulator's Swarm::insert uses), retried
+//      same placement the simulator's ShardedSwarm::insert uses), retried
 //      until acked or the setup deadline expires.
 //   2. Get: fixed-rate GETs (rate req/s for `duration` seconds) against
 //      uniformly random files, measured end to end; the report carries

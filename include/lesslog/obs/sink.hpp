@@ -3,10 +3,10 @@
 // A DeliverySink sees every datagram the network hands to an attached
 // peer (at delivery time, before the peer's handler runs) plus the
 // swarm's membership events. Sinks are registered with
-// Swarm::add_sink() and notified in registration order; peers that join
-// after registration are covered automatically — the notification point
-// is the network's single delivery funnel, not per-peer handler wrappers,
-// so there is nothing to re-arm.
+// ShardedSwarm::add_sink() and notified in registration order; peers that
+// join after registration are covered automatically — the notification
+// point is the network's single delivery funnel, not per-peer handler
+// wrappers, so there is nothing to re-arm.
 //
 // Implementations in-tree: proto::Trace (record + query), MetricsSink
 // (count by type into a registry), JsonlSink (stream one JSON object per

@@ -82,9 +82,8 @@ struct WireMetrics {
   // Shard-boundary accounting (appended last to preserve registration
   // order): datagrams that left via the cross-shard forward hook vs.
   // those the hook declined (destination on the sender's own shard).
-  // Both stay zero when no hook is installed (serial swarm, S = 1), so
-  // single-shard snapshots remain byte-identical to serial ones. The
-  // cross-shard message fraction is cross / (cross + intra).
+  // Both stay zero when no hook is installed (S = 1). The cross-shard
+  // message fraction is cross / (cross + intra).
   Counter* cross_shard_msgs = nullptr;
   Counter* intra_shard_msgs = nullptr;
 

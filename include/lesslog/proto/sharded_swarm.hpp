@@ -1,16 +1,27 @@
-// ShardedSwarm — the Swarm's deployment model on a sharded engine.
+// ShardedSwarm — a whole message-driven LessLog deployment in one object.
 //
-// Peers are partitioned across S shards by a ShardMap policy (contiguous
-// PID ranges, or the XOR-subtree locality map — see shard_map.hpp). Each
-// shard owns a full vertical slice: its own sim::Engine (independent RNG
-// stream), Network, obs::Registry with the standard WireMetrics catalog,
-// and MetricsSink. Intra-shard traffic takes the exact serial Network
-// path; a datagram whose destination lives on another shard is
-// intercepted by the network's forward hook *after* the sender's
-// latency/fault pipeline ran, mailboxed in the ShardRouter, and
+// Owns the event engines, the networks, one Peer per live PID, and one
+// colocated Client per peer. Provides the data-plane operations of the
+// paper as asynchronous protocol exchanges (insert / get / update /
+// replicate / membership announcements) plus helpers to drive the
+// simulation and collect latency statistics. This is the layer the
+// latency/overhead benches, the chaos driver and the protocol example run
+// on; the direct-call core::System remains the convenient API for
+// logic-level work (its routing decisions and this layer's are verified
+// against each other in tests/integration/).
+//
+// Peers are partitioned across S shards (Config::shards, default 1) by a
+// ShardMap policy (contiguous PID ranges, or the XOR-subtree locality map
+// — see shard_map.hpp). Each shard owns a full vertical slice: its own
+// sim::Engine (independent RNG stream), Network, obs::Registry with the
+// standard WireMetrics catalog, and MetricsSink. Intra-shard traffic
+// takes the plain Network path; a datagram whose destination lives on
+// another shard is intercepted by the network's forward hook *after* the
+// sender's latency/fault pipeline ran, mailboxed in the ShardRouter, and
 // scheduled into the destination shard's queue at the next window
 // barrier (see sim::ShardedEngine for why the conservative window makes
-// that timestamp still in the destination's future).
+// that timestamp still in the destination's future). With S = 1 no hook
+// is installed and settle() is the plain serial event loop.
 //
 // The cross-shard lookahead is adaptive and per-shard-pair: the
 // constructor computes L(i, j) = base_latency + latency_per_unit * a
@@ -25,17 +36,7 @@
 //
 // Determinism: shard execution is sequential within a window, barriers
 // are full synchronizations, and mailboxes drain in fixed order — so a
-// run is a pure function of (seed, S, map). With S = 1 no hook is
-// installed and construction mirrors proto::Swarm field for field, so
-// results are byte-identical to the serial swarm.
-//
-// Feature parity: the sharded swarm carries the Swarm's data-plane and
-// membership API (insert / get / update / join / depart / crash /
-// restart) plus the serial swarm's replicate() helper, the closed-loop
-// auto-replication controller (per-shard ticks over shard-local peers),
-// and metrics sampling (one obs::Sampler per shard; series and
-// snapshots merge index-for-index across the shards' identically-shaped
-// registries).
+// run is a pure function of (seed, S, map).
 #pragma once
 
 #include <memory>
@@ -124,7 +125,8 @@ class ShardedSwarm {
   }
   [[nodiscard]] int width() const noexcept { return cfg_.m; }
 
-  /// Runs every shard to quiescence (windowed-parallel for S > 1, the
+  /// Runs every shard to quiescence: every in-flight protocol exchange,
+  /// timeouts included, has resolved (windowed-parallel for S > 1, the
   /// plain serial event loop for S = 1). Returns events executed. On
   /// return all shard clocks agree, so control-plane operations issued
   /// between settles never schedule into another shard's past.
@@ -132,50 +134,107 @@ class ShardedSwarm {
 
   /// Runs every event strictly before simulated time `t`, then aligns
   /// every shard's clock at exactly `t` (sim::ShardedEngine::
-  /// run_until_windows). This is the sharded chaos driver's seam: it
-  /// applies membership ops and workload arrivals at deterministic
-  /// top-level points between segments.
+  /// run_until_windows). This is the chaos driver's seam: it applies
+  /// membership ops and workload arrivals at deterministic top-level
+  /// points between segments.
   std::int64_t run_until(double t);
 
-  // -- Data plane (same semantics as proto::Swarm) -----------------------
+  // -- Data plane ----------------------------------------------------------
 
+  /// Inserts a file with target root r: resolves the 2^b per-subtree
+  /// holders from the *issuing node's* status word (the paper's
+  /// ADVANCEDINSERTFILE) and sends one insert per holder. Asynchronous;
+  /// settle() to complete.
   void insert(core::FileId file, core::Pid r, core::Pid issuer);
+
+  /// Inserts under the paper's naming rule: the FileId is the key and the
+  /// target is r = ψ(key). Membership data motion (graceful leave, crash
+  /// recovery, join reclaim) is only defined for ψ-named files.
   core::FileId insert_named(std::uint64_t key, core::Pid issuer);
+
+  /// Issues a get from `at`; the result lands in the given callback (and
+  /// in the per-client latency stats). The callback runs on `at`'s home
+  /// shard.
   void get(core::FileId file, core::Pid r, core::Pid at,
            Client::GetCallback done = nullptr);
+
+  /// Sends an update push (new version) into the tree of r from `issuer`:
+  /// one push per subtree stand-in, as Section 4 prescribes.
   void update(core::FileId file, core::Pid r, std::uint64_t version,
               core::Pid issuer);
 
-  /// Issues REPLICATEFILE at overloaded holder `overloaded` (same
-  /// semantics as proto::Swarm::replicate): the placement is computed
-  /// from the holder's own status word, drawing randomness from the
-  /// holder's *shard* engine, and kCreateReplica rides the holder's
+  /// Issues REPLICATEFILE at overloaded holder `overloaded`: computes the
+  /// placement locally (bit operations on the holder's own status word
+  /// plus which copies it knows of via `holds`, drawing randomness from
+  /// the holder's shard engine) and sends kCreateReplica on the holder's
   /// shard network. Call between settles (top level).
   std::optional<core::Pid> replicate(core::FileId file, core::Pid r,
                                      core::Pid overloaded,
                                      const core::HoldsCopyFn& holds);
 
-  // -- Membership (same semantics as proto::Swarm) -----------------------
+  // -- Membership ----------------------------------------------------------
 
+  /// Membership with the Section 5 data-motion protocols on the wire:
+  ///   * join — the node comes online, broadcasts its status, and issues a
+  ///     kReclaim sweep so current holders push back the ψ-named files it
+  ///     is now authoritative for;
+  ///   * depart — graceful leave: inserted files are pushed to their
+  ///     post-departure holders before the status broadcast and detach;
+  ///   * crash — the store vanishes; surviving sibling-subtree holders
+  ///     re-insert the lost copies when the failure announcement reaches
+  ///     them (b > 0; with b = 0 unreplicated files are simply lost).
   core::Pid join(std::optional<core::Pid> requested = std::nullopt);
   void depart(core::Pid p);
   void crash(core::Pid p);
+
+  /// Crash recovery, step 2: the crashed node comes back under the same
+  /// PID with an empty store (its disk is gone). A restart is a rejoin —
+  /// status broadcast plus the Section 5.1 kReclaim sweep, so surviving
+  /// holders push the ψ-named files it is authoritative for back to it.
+  /// Precondition: p previously crashed (or departed).
   void restart(core::Pid p);
+
+  /// Repair broadcast: re-announces the ground-truth liveness of every
+  /// PID to all live peers. Status announcements ride the unreliable
+  /// datagram wire, so a burst window or partition can leave peers with
+  /// stale views; the chaos driver calls this after a heal (the modelled
+  /// equivalent of anti-entropy gossip catching up).
   void reannounce();
-  /// SWIM-mode failure: go dark without a broadcast; the failure
-  /// detector closes the loop (see Swarm::crash_unannounced).
+
+  /// SWIM-mode failure: the node goes dark with no ground-truth status
+  /// broadcast — *detecting* the crash (and announcing it, which triggers
+  /// Section 5.3 recovery) is the membership protocol's job. Mechanically
+  /// identical to crash_silent; the two exist separately because their
+  /// contracts differ: this one expects a failure detector to close the
+  /// loop, crash_silent expects the auditor to flag the resulting hole.
   void crash_unannounced(core::Pid p);
-  /// TEST-ONLY: vanish without a failure announcement (see Swarm).
+
+  /// TEST-ONLY failure mode: the node vanishes without any failure
+  /// announcement ever being sent — deliberately breaking the Section 5.3
+  /// recovery contract. Used to prove the chaos auditor catches a broken
+  /// recovery protocol; never part of a correct schedule.
   void crash_silent(core::Pid p);
 
-  // -- Closed-loop replication (same semantics as proto::Swarm) ----------
+  // -- Closed-loop replication ---------------------------------------------
 
-  /// The serial swarm's autonomous overload controller, sharded: every
-  /// `window` seconds each shard's engine runs one tick over the peers
-  /// that live on that shard (shard-local counters, stores, and RNG — no
+  /// Closed-loop overload control: every `window` seconds each live peer
+  /// inspects its own served counters (local knowledge only — no logs
+  /// leave the node); if it served more than capacity*window requests it
+  /// replicates its locally hottest file via the LessLog rule, then
+  /// resets its counters. Runs until `stop_at`. This is the autonomous
+  /// behaviour the paper's REPLICATEFILE loop describes ("we continue
+  /// replicating f ... until P(r) is not overloaded").
+  ///
+  /// `removal_threshold` (requests/s; 0 disables) adds the paper's
+  /// "simple counter-based mechanism to remove replicas that are not
+  /// frequently accessed": a peer whose *replica* served fewer than
+  /// removal_threshold * window requests in the window drops it — a
+  /// purely local decision, no messages.
+  ///
+  /// Each shard's engine runs its own tick over the peers that live on
+  /// that shard, in PID order (shard-local counters, stores, and RNG — no
   /// cross-shard reads during windows, so the parallel run stays
-  /// race-free and deterministic). With S = 1 the single tick scans all
-  /// peers in PID order, matching the serial controller event for event.
+  /// race-free and deterministic).
   void enable_auto_replication(double capacity, double window,
                                double stop_at,
                                double removal_threshold = 0.0);
@@ -185,15 +244,17 @@ class ShardedSwarm {
   [[nodiscard]] std::int64_t auto_replicas() const noexcept;
   [[nodiscard]] std::int64_t auto_removals() const noexcept;
 
-  // -- Aggregates --------------------------------------------------------
+  // -- Aggregates ----------------------------------------------------------
 
   /// Client stats across all peers, in PID order (shard-independent).
   [[nodiscard]] std::int64_t total_faults() const;
   [[nodiscard]] std::vector<double> all_latencies() const;
 
-  /// Merged reliability ledger: every client's counters plus every peer's
-  /// busy_shed (same surface as Swarm::reliability_ledger, summed over
-  /// shards).
+  /// The reliability layer's counters summed over the shards' WireMetrics
+  /// cells (client GETs, hedges and kBusy replies; peers' sheds). The
+  /// cells are cumulative for the swarm's lifetime — a PID's client and
+  /// peer survive every rejoin — and the chaos audit checks the ledger's
+  /// exact identities at quiescence.
   [[nodiscard]] ReliabilityLedger reliability_ledger() const;
 
   /// Network counters summed over shards. Cross-shard datagrams are
@@ -208,29 +269,39 @@ class ShardedSwarm {
 
   /// Fraction of forward-hook-inspected datagrams that crossed a shard
   /// boundary: cross / (cross + intra) over the per-shard WireMetrics
-  /// counters. 0.0 for S = 1 (no hook) and under LESSLOG_NO_METRICS.
+  /// counters. 0.0 for S = 1 (no hook).
   [[nodiscard]] double cross_shard_fraction() const noexcept;
 
+  // -- Observability -------------------------------------------------------
+
   /// Swarm-wide metric snapshot: the S per-shard registries share one
-  /// registration catalog, so their snapshots merge index-for-index
-  /// (obs::Snapshot::merge_from).
+  /// registration catalog (see obs::WireMetrics), so their snapshots
+  /// merge index-for-index (obs::Snapshot::merge_from).
   [[nodiscard]] obs::Snapshot metrics_snapshot(double time = 0.0) const;
 
-  // -- Observability (same semantics as proto::Swarm) --------------------
+  /// Registers an observer for every delivered datagram plus membership
+  /// events, on every shard's network (notified in registration order,
+  /// before the receiving peer's handler). Peers joining later are
+  /// covered automatically. The sink must be removed (or the swarm
+  /// destroyed) before the sink dies. With S > 1 each shard's worker
+  /// thread calls the sink for its own deliveries, concurrently with the
+  /// other shards, so the sink may touch only per-shard state.
+  void add_sink(obs::DeliverySink& sink);
+  void remove_sink(obs::DeliverySink& sink);
 
   /// Samples every shard's registry each `interval` simulated seconds
   /// until `stop_at` (one obs::Sampler per shard engine, ticking at the
-  /// same simulated times). Derived gauges are refreshed shard-locally:
-  /// queue_depth is the shard's own queue (merged: fleet total),
-  /// live_peers is set by shard 0 from ground truth, and max_served is
-  /// the shard's own hottest peer (merged: sum of per-shard maxima — an
-  /// upper bound on the global max for S > 1, exact for S = 1).
+  /// same simulated times), refreshing the derived gauges right before
+  /// each snapshot. They are refreshed shard-locally: queue_depth is the
+  /// shard's own queue (merged: fleet total), live_peers is set by shard
+  /// 0 from ground truth, and max_served is the shard's own hottest peer
+  /// (merged: sum of per-shard maxima — an upper bound on the global max
+  /// for S > 1, exact for S = 1).
   void enable_metrics_sampling(double interval, double stop_at);
 
   /// The swarm-wide sampled series: sample k of every shard merged
   /// index-for-index (rebuilt on call; read at quiescence). Empty until
-  /// enable_metrics_sampling ran. With S = 1 this is byte-identical to
-  /// the serial swarm's series.
+  /// enable_metrics_sampling ran.
   [[nodiscard]] const obs::TimeSeries& metrics_series();
 
  private:
@@ -267,7 +338,9 @@ class ShardedSwarm {
                              double stop_at, double removal_threshold);
 
   Config cfg_;
-  /// Ground-truth liveness as a copy-on-write handle (see Swarm::status_).
+  /// Ground-truth liveness as a copy-on-write handle: construction and
+  /// every rejoin hand peers an O(1) snapshot of it instead of a 2^m-bit
+  /// copy; truth mutations clone once while snapshots are outstanding.
   util::CowStatus status_;
   sim::ShardedEngine engines_;
   ShardRouter router_;

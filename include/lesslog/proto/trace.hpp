@@ -1,4 +1,4 @@
-// Message tracing: records every datagram a Swarm's peers receive, with
+// Message tracing: records every datagram a swarm's peers receive, with
 // timestamps, as structured records — filterable, printable, and
 // JSONL-exportable. The protocol_trace example renders with it; tests use
 // it to assert exact message sequences.
@@ -6,7 +6,8 @@
 // Trace is an obs::DeliverySink: it registers with the swarm's network
 // (the single delivery funnel), so peers that join after construction are
 // recorded automatically — there is nothing to re-arm and no handler
-// wrapping involved.
+// wrapping involved. It appends to one vector, so it traces only a
+// single-shard swarm (the shards of a larger one deliver concurrently).
 #pragma once
 
 #include <iosfwd>
@@ -14,7 +15,7 @@
 #include <vector>
 
 #include "lesslog/obs/sink.hpp"
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 
 namespace lesslog::proto {
 
@@ -26,9 +27,10 @@ struct TraceRecord {
 class Trace final : public obs::DeliverySink {
  public:
   /// Starts recording every delivery in `swarm`. Destroy the Trace before
-  /// the Swarm (it unregisters itself from the swarm's sink list) —
-  /// declaring it after the Swarm in the same scope does exactly that.
-  explicit Trace(Swarm& swarm);
+  /// the swarm (it unregisters itself from the swarm's sink list) —
+  /// declaring it after the swarm in the same scope does exactly that.
+  /// Throws std::invalid_argument when the swarm has more than one shard.
+  explicit Trace(ShardedSwarm& swarm);
   ~Trace() override;
 
   Trace(const Trace&) = delete;
@@ -56,7 +58,7 @@ class Trace final : public obs::DeliverySink {
   void write_jsonl(std::ostream& out) const;
 
  private:
-  Swarm* swarm_;
+  ShardedSwarm* swarm_;
   std::vector<TraceRecord> records_;
 };
 

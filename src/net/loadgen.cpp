@@ -150,7 +150,7 @@ LoadGenReport LoadGen::run() {
              cfg_.setup_timeout / 2.0);
 
   // --- Phase 1: place the catalog. One insert per (file, holder) pair,
-  // holders resolved exactly as Swarm::insert resolves them; failed
+  // holders resolved exactly as ShardedSwarm::insert resolves them; failed
   // inserts re-issue until the setup deadline.
   struct InsertTask {
     core::FileId file{0};

@@ -3,10 +3,17 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 namespace lesslog::proto {
 
-Trace::Trace(Swarm& swarm) : swarm_(&swarm) { swarm_->add_sink(*this); }
+Trace::Trace(ShardedSwarm& swarm) : swarm_(&swarm) {
+  if (swarm_->shards() > 1) {
+    throw std::invalid_argument(
+        "Trace: records into one vector, so it needs a single-shard swarm");
+  }
+  swarm_->add_sink(*this);
+}
 
 Trace::~Trace() { swarm_->remove_sink(*this); }
 

@@ -1,31 +1,24 @@
-// Feature parity: ShardedSwarm carries the serial swarm's replicate()
-// helper, closed-loop auto-replication controller, and metrics sampling.
-// Pinned properties:
-//   1. at S = 1 each of the three is byte-identical to proto::Swarm
-//      (same RNG stream, same event order, same sampled series);
+// Feature parity: ShardedSwarm's replicate() helper, closed-loop
+// auto-replication controller, and metrics sampling. Pinned properties:
+//   1. at S = 1 each of the three gives the answers the retired serial
+//      swarm gave (same RNG stream, same event order, same sampled
+//      series), pinned as literals recorded from it;
 //   2. at S ∈ {2, 4, 8} a run with the controller and sampler enabled is
 //      bit-reproducible across repeated runs (fresh thread pools).
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "fnv_digest.hpp"
 #include "lesslog/proto/sharded_swarm.hpp"
-#include "lesslog/proto/swarm.hpp"
 
 namespace lesslog::proto {
 namespace {
 
+using test::digest_of;
+
 constexpr int kM = 8;
 constexpr std::uint32_t kNodes = 64;
-
-Swarm::Config serial_cfg(std::uint64_t seed) {
-  Swarm::Config cfg;
-  cfg.m = kM;
-  cfg.b = 1;
-  cfg.nodes = kNodes;
-  cfg.seed = seed;
-  return cfg;
-}
 
 ShardedSwarm::Config sharded_cfg(std::uint64_t seed, std::size_t shards) {
   ShardedSwarm::Config cfg;
@@ -39,40 +32,37 @@ ShardedSwarm::Config sharded_cfg(std::uint64_t seed, std::size_t shards) {
 
 TEST(ShardedParity, ReplicateMatchesSerialAtOneShard) {
   // replicate() draws placement randomness from the overloaded holder's
-  // home engine; at S = 1 that is the serial engine's stream, so the
-  // chosen stand-in must match exactly, replica chain and all.
-  const auto drive = [](auto& swarm) {
-    std::vector<std::uint32_t> placed;
-    const core::FileId f = swarm.insert_named(0x507F11E, core::Pid{1});
-    const core::Pid target = swarm.peer(core::Pid{1}).target_of(f);
+  // home engine; at S = 1 that is the one engine's stream, so the chosen
+  // stand-ins must be the serial swarm's, replica chain and all.
+  ShardedSwarm swarm(sharded_cfg(13, 1));
+  std::vector<std::uint32_t> placed;
+  const core::FileId f = swarm.insert_named(0x507F11E, core::Pid{1});
+  const core::Pid target = swarm.peer(core::Pid{1}).target_of(f);
+  swarm.settle();
+  std::vector<std::uint32_t> copies{target.value()};
+  for (int step = 0; step < 5; ++step) {
+    const auto r = swarm.replicate(
+        f, target, core::Pid{copies.back()}, [&copies](core::Pid p) {
+          for (const std::uint32_t c : copies) {
+            if (c == p.value()) return true;
+          }
+          return false;
+        });
     swarm.settle();
-    std::vector<std::uint32_t> copies{target.value()};
-    for (int step = 0; step < 5; ++step) {
-      const auto r = swarm.replicate(
-          f, target, core::Pid{copies.back()}, [&copies](core::Pid p) {
-            for (const std::uint32_t c : copies) {
-              if (c == p.value()) return true;
-            }
-            return false;
-          });
-      swarm.settle();
-      if (!r.has_value()) break;
-      copies.push_back(r->value());
-      placed.push_back(r->value());
-    }
-    return placed;
-  };
-
-  Swarm serial(serial_cfg(13));
-  ShardedSwarm sharded(sharded_cfg(13, 1));
-  EXPECT_EQ(drive(sharded), drive(serial));
+    if (!r.has_value()) break;
+    copies.push_back(r->value());
+    placed.push_back(r->value());
+  }
+  EXPECT_EQ(target.value(), 11U);
+  EXPECT_EQ(placed, (std::vector<std::uint32_t>{9u, 13u, 5u, 21u, 53u}));
+  EXPECT_EQ(swarm.messages_sent(), 9);
 }
 
-/// Saturates one ψ target with direct GETs, then lets the closed loop
-/// run three windows. Deterministic load (no engine-RNG draws), so the
-/// serial and S = 1 sharded controllers see identical served counters.
-template <typename AnySwarm>
-void drive_controller(AnySwarm& swarm) {
+TEST(ShardedParity, ControllerMatchesSerialAtOneShard) {
+  // Saturates one ψ target with direct GETs, then lets the closed loop
+  // run three windows. Deterministic load (no engine-RNG draws), so the
+  // controller sees the serial swarm's served counters.
+  ShardedSwarm swarm(sharded_cfg(29, 1));
   const core::FileId f = swarm.insert_named(0xB007, core::Pid{0});
   const core::Pid target = swarm.peer(core::Pid{0}).target_of(f);
   swarm.settle();
@@ -81,91 +71,45 @@ void drive_controller(AnySwarm& swarm) {
   }
   swarm.settle();
   swarm.enable_auto_replication(/*capacity=*/50.0, /*window=*/1.0,
-                                /*stop_at=*/swarm.engine_now() + 3.5);
-  swarm.run_to(swarm.engine_now() + 4.0);
+                                /*stop_at=*/swarm.engine(0).now() + 3.5);
+  swarm.engine(0).run_until(swarm.engine(0).now() + 4.0);
   swarm.settle();
-}
 
-TEST(ShardedParity, ControllerMatchesSerialAtOneShard) {
-  struct SerialView {
-    Swarm swarm;
-    explicit SerialView(const Swarm::Config& cfg) : swarm(cfg) {}
-    // Adapters so drive_controller treats both swarms uniformly.
-    auto insert_named(std::uint64_t k, core::Pid p) {
-      return swarm.insert_named(k, p);
-    }
-    auto& peer(core::Pid p) { return swarm.peer(p); }
-    void settle() { swarm.settle(); }
-    void get(core::FileId f, core::Pid r, core::Pid at) {
-      swarm.get(f, r, at);
-    }
-    void enable_auto_replication(double c, double w, double s) {
-      swarm.enable_auto_replication(c, w, s);
-    }
-    [[nodiscard]] double engine_now() { return swarm.engine().now(); }
-    void run_to(double t) { swarm.engine().run_until(t); }
-  };
-  struct ShardedView {
-    ShardedSwarm swarm;
-    explicit ShardedView(ShardedSwarm::Config cfg)
-        : swarm(std::move(cfg)) {}
-    auto insert_named(std::uint64_t k, core::Pid p) {
-      return swarm.insert_named(k, p);
-    }
-    auto& peer(core::Pid p) { return swarm.peer(p); }
-    void settle() { swarm.settle(); }
-    void get(core::FileId f, core::Pid r, core::Pid at) {
-      swarm.get(f, r, at);
-    }
-    void enable_auto_replication(double c, double w, double s) {
-      swarm.enable_auto_replication(c, w, s);
-    }
-    [[nodiscard]] double engine_now() { return swarm.engine(0).now(); }
-    void run_to(double t) { swarm.run_until(t); }
-  };
-
-  SerialView serial(serial_cfg(29));
-  drive_controller(serial);
-  ShardedView sharded(sharded_cfg(29, 1));
-  drive_controller(sharded);
-
-  EXPECT_GT(serial.swarm.auto_replicas(), 0);
-  EXPECT_EQ(sharded.swarm.auto_replicas(), serial.swarm.auto_replicas());
-  EXPECT_EQ(sharded.swarm.auto_removals(), serial.swarm.auto_removals());
-  EXPECT_EQ(sharded.swarm.messages_sent(),
-            serial.swarm.network().messages_sent());
-  EXPECT_EQ(sharded.swarm.all_latencies(), serial.swarm.all_latencies());
+  // Literals recorded from the serial swarm on the same scenario.
+  EXPECT_EQ(swarm.auto_replicas(), 2);
+  EXPECT_EQ(swarm.auto_removals(), 0);
+  EXPECT_EQ(swarm.messages_sent(), 590);
+  EXPECT_EQ(swarm.all_latencies().size(), 300U);
+  EXPECT_EQ(digest_of(swarm.all_latencies()), 0xcdacccaebcd678f6ULL);
 }
 
 TEST(ShardedParity, SampledSeriesMatchesSerialAtOneShard) {
-  const auto workload = [](auto& swarm, double stop) {
-    const core::FileId f = swarm.insert_named(0x5A17, core::Pid{2});
-    const core::Pid target = swarm.peer(core::Pid{2}).target_of(f);
-    swarm.settle();
-    swarm.enable_metrics_sampling(/*interval=*/0.25, stop);
-    for (int i = 0; i < 64; ++i) {
-      swarm.get(f, target,
-                core::Pid{static_cast<std::uint32_t>(i * 5) % kNodes});
-    }
-    swarm.settle();
-  };
-
-  Swarm serial(serial_cfg(31));
-  workload(serial, 2.0);
-  const obs::TimeSeries& a = serial.metrics_series();
-
-  ShardedSwarm sharded(sharded_cfg(31, 1));
-  workload(sharded, 2.0);
-  const obs::TimeSeries& b = sharded.metrics_series();
-
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_GT(a.size(), 0u);
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a.samples[k].time, b.samples[k].time) << "sample " << k;
-    EXPECT_EQ(a.samples[k].counters, b.samples[k].counters)
-        << "sample " << k;
-    EXPECT_EQ(a.samples[k].gauges, b.samples[k].gauges) << "sample " << k;
+  ShardedSwarm swarm(sharded_cfg(31, 1));
+  const core::FileId f = swarm.insert_named(0x5A17, core::Pid{2});
+  const core::Pid target = swarm.peer(core::Pid{2}).target_of(f);
+  swarm.settle();
+  swarm.enable_metrics_sampling(/*interval=*/0.25, /*stop_at=*/2.0);
+  for (int i = 0; i < 64; ++i) {
+    swarm.get(f, target,
+              core::Pid{static_cast<std::uint32_t>(i * 5) % kNodes});
   }
+  swarm.settle();
+
+  // Sample times, counters and gauges, folded sample by sample; the
+  // literals were recorded from the serial swarm's series.
+  const obs::TimeSeries& series = swarm.metrics_series();
+  test::Digest times;
+  test::Digest counters;
+  test::Digest gauges;
+  for (const obs::Snapshot& snap : series.samples) {
+    times.mix(snap.time);
+    counters.mix(digest_of(snap.counters));
+    gauges.mix(digest_of(snap.gauges));
+  }
+  EXPECT_EQ(series.size(), 7U);
+  EXPECT_EQ(times.value(), 0x0fd42ae913bd2a5dULL);
+  EXPECT_EQ(counters.value(), 0x30b17afdf231297aULL);
+  EXPECT_EQ(gauges.value(), 0x1d15fe39d538683dULL);
 }
 
 TEST(ShardedParity, ControllerAndSamplerRepeatExactlyAcrossShardCounts) {

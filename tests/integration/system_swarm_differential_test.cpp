@@ -1,13 +1,14 @@
 // Differential testing of the two protocol altitudes: the direct-call
-// core::System and the datagram-level proto::Swarm must agree on holder
-// placement, routing outcomes, and availability across identical operation
-// sequences (ψ-named files, lossless network).
+// core::System and the datagram-level proto::ShardedSwarm must agree on
+// holder placement, routing outcomes, and availability across identical
+// operation sequences (ψ-named files, lossless network).
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "lesslog/core/system.hpp"
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/hashing.hpp"
 #include "lesslog/util/rng.hpp"
 
@@ -17,30 +18,40 @@ namespace {
 using core::FileId;
 using core::Pid;
 
+// gtest names each case after the parameter's raw bytes, so the padding
+// is spelled out as zeroed members: the names stay the same from build
+// to build.
 struct DiffCase {
   int m;
   int b;
   std::uint32_t nodes;
+  std::uint32_t pad0 = 0;
   std::uint64_t seed;
   int ops;
+  std::uint32_t pad1 = 0;
 };
+static_assert(std::has_unique_object_representations_v<DiffCase>);
 
 class SystemSwarmDifferential : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(SystemSwarmDifferential, IdenticalOperationSequencesConverge) {
-  const auto [m, b, nodes, seed, ops] = GetParam();
+  const DiffCase& c = GetParam();
+  const int m = c.m;
+  const int b = c.b;
+  const std::uint32_t nodes = c.nodes;
+  const std::uint64_t seed = c.seed;
 
   core::System sys({.m = m, .b = b, .seed = seed});
   sys.bootstrap(nodes);
 
-  proto::Swarm::Config scfg;
+  proto::ShardedSwarm::Config scfg;
   scfg.m = m;
   scfg.b = b;
   scfg.nodes = nodes;
   scfg.seed = seed;
   scfg.net.base_latency = 0.001;
   scfg.net.jitter = 0.0;
-  proto::Swarm swarm(scfg);
+  proto::ShardedSwarm swarm(scfg);
 
   std::vector<FileId> files;
   util::Rng rng(seed * 31 + 7);
@@ -50,7 +61,7 @@ TEST_P(SystemSwarmDifferential, IdenticalOperationSequencesConverge) {
     return Pid{live[rng.bounded(live.size())]};
   };
 
-  for (int op = 0; op < ops; ++op) {
+  for (int op = 0; op < c.ops; ++op) {
     switch (rng.bounded(4)) {
       case 0: {  // insert a ψ-named file in both worlds
         const std::uint64_t key = seed * 1000 + static_cast<std::uint64_t>(op);
@@ -111,7 +122,7 @@ TEST_P(SystemSwarmDifferential, IdenticalOperationSequencesConverge) {
       ASSERT_TRUE(sys_info.has_value())
           << "System missing holder copy, file " << f.key();
       ASSERT_TRUE(swarm_info.has_value())
-          << "Swarm missing holder copy, file " << f.key();
+          << "ShardedSwarm missing holder copy, file " << f.key();
       EXPECT_EQ(sys_info->kind, core::CopyKind::kInserted);
       EXPECT_EQ(swarm_info->kind, core::CopyKind::kInserted);
     }
@@ -120,11 +131,12 @@ TEST_P(SystemSwarmDifferential, IdenticalOperationSequencesConverge) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, SystemSwarmDifferential,
-    ::testing::Values(DiffCase{4, 0, 16, 1, 40},
-                      DiffCase{5, 0, 32, 2, 60},
-                      DiffCase{5, 1, 32, 3, 60},
-                      DiffCase{6, 0, 64, 4, 80},
-                      DiffCase{6, 2, 64, 5, 80}));
+    ::testing::Values(
+        DiffCase{.m = 4, .b = 0, .nodes = 16, .seed = 1, .ops = 40},
+        DiffCase{.m = 5, .b = 0, .nodes = 32, .seed = 2, .ops = 60},
+        DiffCase{.m = 5, .b = 1, .nodes = 32, .seed = 3, .ops = 60},
+        DiffCase{.m = 6, .b = 0, .nodes = 64, .seed = 4, .ops = 80},
+        DiffCase{.m = 6, .b = 2, .nodes = 64, .seed = 5, .ops = 80}));
 
 }  // namespace
 }  // namespace lesslog

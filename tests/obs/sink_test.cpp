@@ -1,13 +1,17 @@
 // DeliverySink fan-out: every registered sink sees every delivered
 // datagram, in delivery order, and peer lifecycle events reach on_peer.
+// On a multi-shard swarm each shard's worker calls the sink for its own
+// deliveries (run under the tsan preset too).
 #include "lesslog/obs/sink.hpp"
 
+#include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/proto/trace.hpp"
 #include "lesslog/util/rng.hpp"
 
@@ -41,8 +45,8 @@ struct RecordingSink final : DeliverySink {
   }
 };
 
-proto::Swarm::Config config(std::uint32_t nodes = 0) {
-  proto::Swarm::Config cfg;
+proto::ShardedSwarm::Config config(std::uint32_t nodes = 0) {
+  proto::ShardedSwarm::Config cfg;
   cfg.m = 5;
   cfg.b = 0;
   cfg.nodes = nodes == 0 ? util::space_size(5) : nodes;
@@ -52,7 +56,7 @@ proto::Swarm::Config config(std::uint32_t nodes = 0) {
   return cfg;
 }
 
-void drive(proto::Swarm& swarm, int requests, std::uint64_t seed) {
+void drive(proto::ShardedSwarm& swarm, int requests, std::uint64_t seed) {
   util::Rng rng(seed);
   const core::FileId f{0xFEEDULL};
   const core::Pid target{3};
@@ -67,7 +71,7 @@ void drive(proto::Swarm& swarm, int requests, std::uint64_t seed) {
 }
 
 TEST(DeliverySinkTest, EverySinkSeesEveryDeliveryInTheSameOrder) {
-  proto::Swarm swarm(config());
+  proto::ShardedSwarm swarm(config());
   RecordingSink first;
   RecordingSink second;
   swarm.add_sink(first);
@@ -91,7 +95,7 @@ TEST(DeliverySinkTest, EverySinkSeesEveryDeliveryInTheSameOrder) {
 }
 
 TEST(DeliverySinkTest, RemovedSinkStopsRecording) {
-  proto::Swarm swarm(config());
+  proto::ShardedSwarm swarm(config());
   RecordingSink removed;
   RecordingSink kept;
   swarm.add_sink(removed);
@@ -108,7 +112,7 @@ TEST(DeliverySinkTest, RemovedSinkStopsRecording) {
 }
 
 TEST(DeliverySinkTest, AddingTheSameSinkTwiceRecordsOnce) {
-  proto::Swarm swarm(config());
+  proto::ShardedSwarm swarm(config());
   RecordingSink sink;
   RecordingSink reference;
   swarm.add_sink(sink);
@@ -121,7 +125,7 @@ TEST(DeliverySinkTest, AddingTheSameSinkTwiceRecordsOnce) {
 }
 
 TEST(DeliverySinkTest, PeerLifecycleEventsReachOnPeer) {
-  proto::Swarm swarm(config(/*nodes=*/24));
+  proto::ShardedSwarm swarm(config(/*nodes=*/24));
   RecordingSink sink;
   swarm.add_sink(sink);
 
@@ -140,7 +144,7 @@ TEST(DeliverySinkTest, PeerLifecycleEventsReachOnPeer) {
 }
 
 TEST(DeliverySinkTest, TraceAndRawSinkRecordIdenticalStreams) {
-  proto::Swarm swarm(config());
+  proto::ShardedSwarm swarm(config());
   proto::Trace trace(swarm);
   RecordingSink sink;
   swarm.add_sink(sink);
@@ -155,7 +159,7 @@ TEST(DeliverySinkTest, TraceAndRawSinkRecordIdenticalStreams) {
 }
 
 TEST(DeliverySinkTest, JsonlSinkMatchesTraceWriteJsonl) {
-  proto::Swarm swarm(config());
+  proto::ShardedSwarm swarm(config());
   proto::Trace trace(swarm);
   std::ostringstream streamed;
   JsonlSink jsonl(streamed);
@@ -167,6 +171,51 @@ TEST(DeliverySinkTest, JsonlSinkMatchesTraceWriteJsonl) {
   EXPECT_EQ(streamed.str(), batched.str());
   EXPECT_NE(streamed.str().find("\"type\":"), std::string::npos);
   swarm.remove_sink(jsonl);
+}
+
+/// Counts deliveries per shard: cell s is written only by shard s's
+/// worker (a datagram is delivered on its destination's home shard), the
+/// per-shard-state contract add_sink documents.
+struct PerShardTally final : DeliverySink {
+  const proto::ShardedSwarm* swarm;
+  std::vector<std::int64_t> delivered;
+
+  explicit PerShardTally(const proto::ShardedSwarm& s)
+      : swarm(&s), delivered(s.shards(), 0) {}
+
+  void on_deliver(double /*time*/, const Message& m) override {
+    ++delivered[swarm->shard_of(m.to)];
+  }
+};
+
+TEST(DeliverySinkTest, MultiShardSinkKeepsPerShardTalliesThatSumToDelivered) {
+  proto::ShardedSwarm::Config cfg = config();
+  cfg.shards = 4;
+  proto::ShardedSwarm swarm(cfg);
+  PerShardTally tally(swarm);
+  swarm.add_sink(tally);
+  drive(swarm, 200, 404);
+
+  const std::int64_t total = std::accumulate(
+      tally.delivered.begin(), tally.delivered.end(), std::int64_t{0});
+  EXPECT_EQ(total, swarm.delivered());
+  for (std::size_t s = 0; s < swarm.shards(); ++s) {
+    EXPECT_EQ(tally.delivered[s], swarm.network(s).delivered())
+        << "shard " << s;
+    EXPECT_GT(tally.delivered[s], 0) << "shard " << s;
+  }
+  swarm.remove_sink(tally);
+  drive(swarm, 20, 405);
+  EXPECT_EQ(std::accumulate(tally.delivered.begin(), tally.delivered.end(),
+                            std::int64_t{0}),
+            total);
+}
+
+TEST(DeliverySinkTest, TraceRejectsAMultiShardSwarm) {
+  proto::ShardedSwarm::Config cfg = config();
+  cfg.shards = 2;
+  proto::ShardedSwarm swarm(cfg);
+  EXPECT_THROW(proto::Trace trace(swarm), std::invalid_argument);
 }
 
 }  // namespace

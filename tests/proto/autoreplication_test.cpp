@@ -5,7 +5,7 @@
 
 #include <set>
 
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/hashing.hpp"
 
 namespace lesslog::proto {
@@ -14,8 +14,8 @@ namespace {
 using core::FileId;
 using core::Pid;
 
-Swarm::Config loop_cfg(int m, std::uint64_t seed) {
-  Swarm::Config cfg;
+ShardedSwarm::Config loop_cfg(int m, std::uint64_t seed) {
+  ShardedSwarm::Config cfg;
   cfg.m = m;
   cfg.b = 0;
   cfg.nodes = util::space_size(m);
@@ -26,18 +26,18 @@ Swarm::Config loop_cfg(int m, std::uint64_t seed) {
 }
 
 // Drives `rate` requests/s for `duration`, uniformly from all nodes.
-void drive_load(Swarm& swarm, FileId f, Pid target, double rate,
+void drive_load(ShardedSwarm& swarm, FileId f, Pid target, double rate,
                 double duration) {
-  swarm.engine().poisson_process(rate, duration, [&swarm, f, target] {
+  swarm.engine(0).poisson_process(rate, duration, [&swarm, f, target] {
     const auto n = util::space_size(swarm.width());
     const Pid at{static_cast<std::uint32_t>(
-        swarm.engine().rng().bounded(n))};
+        swarm.engine(0).rng().bounded(n))};
     if (swarm.status().is_live(at.value())) swarm.get(f, target, at);
   });
 }
 
 TEST(AutoReplication, HotFileGetsSpreadUntilNoPeerOverloads) {
-  Swarm swarm(loop_cfg(6, 1));
+  ShardedSwarm swarm(loop_cfg(6, 1));
   const FileId f = swarm.insert_named(0x507F11E, Pid{0});
   const Pid target = swarm.peer(Pid{0}).target_of(f);
   swarm.settle();
@@ -47,12 +47,12 @@ TEST(AutoReplication, HotFileGetsSpreadUntilNoPeerOverloads) {
   // 800 req/s against a 50 req/s capacity needs ~16 copies.
   drive_load(swarm, f, target, 800.0, 30.0);
   swarm.enable_auto_replication(capacity, window, 30.0);
-  swarm.engine().run_until(29.0);
+  swarm.engine(0).run_until(29.0);
 
   // Measure the final window: no peer may exceed its budget (allow the
   // stochastic arrivals ~30% slack over the deterministic budget).
   for (std::uint32_t p = 0; p < 64; ++p) swarm.peer(Pid{p}).reset_window();
-  swarm.engine().run_until(30.0);
+  swarm.engine(0).run_until(30.0);
   swarm.settle();
   for (std::uint32_t p = 0; p < 64; ++p) {
     EXPECT_LE(swarm.peer(Pid{p}).served(), capacity * window * 1.6)
@@ -63,19 +63,19 @@ TEST(AutoReplication, HotFileGetsSpreadUntilNoPeerOverloads) {
 }
 
 TEST(AutoReplication, IdleSystemShedsNothing) {
-  Swarm swarm(loop_cfg(5, 2));
+  ShardedSwarm swarm(loop_cfg(5, 2));
   const FileId f = swarm.insert_named(0x1D1E, Pid{0});
   const Pid target = swarm.peer(Pid{0}).target_of(f);
   swarm.settle();
   drive_load(swarm, f, target, 5.0, 10.0);  // far under capacity
   swarm.enable_auto_replication(50.0, 1.0, 10.0);
-  swarm.engine().run_until(10.0);
+  swarm.engine(0).run_until(10.0);
   swarm.settle();
   EXPECT_EQ(swarm.auto_replicas(), 0);
 }
 
 TEST(AutoReplication, FirstShedGoesToChildrenListHead) {
-  Swarm swarm(loop_cfg(4, 3));
+  ShardedSwarm swarm(loop_cfg(4, 3));
   // Pin the target to P(4) (find a ψ-key) so the expected placement is the
   // paper's P(5).
   std::uint64_t key = 0;
@@ -87,13 +87,13 @@ TEST(AutoReplication, FirstShedGoesToChildrenListHead) {
   for (int i = 0; i < 200; ++i) swarm.get(f, Pid{4}, Pid{4});
   swarm.settle();
   swarm.enable_auto_replication(50.0, 1.0, 1.5);
-  swarm.engine().run_until(2.0);
+  swarm.engine(0).run_until(2.0);
   swarm.settle();
   EXPECT_TRUE(swarm.peer(Pid{5}).store().has(f));
 }
 
 TEST(AutoReplication, SuccessiveWindowsWalkTheChildrenList) {
-  Swarm swarm(loop_cfg(4, 4));
+  ShardedSwarm swarm(loop_cfg(4, 4));
   std::uint64_t key = 0;
   while (util::psi_u64(key, 4) != 4) ++key;
   const FileId f = swarm.insert_named(key, Pid{1});
@@ -102,10 +102,10 @@ TEST(AutoReplication, SuccessiveWindowsWalkTheChildrenList) {
   // Keep only P(4) hot for three windows: each shed walks one step of the
   // children list (P(5), P(6), P(0)) because P(4) remembers its placements.
   swarm.enable_auto_replication(10.0, 1.0, 3.5);
-  swarm.engine().poisson_process(300.0, 3.4, [&swarm, f] {
+  swarm.engine(0).poisson_process(300.0, 3.4, [&swarm, f] {
     swarm.get(f, Pid{4}, Pid{4});
   });
-  swarm.engine().run_until(4.0);
+  swarm.engine(0).run_until(4.0);
   swarm.settle();
   EXPECT_TRUE(swarm.peer(Pid{5}).store().has(f));
   EXPECT_TRUE(swarm.peer(Pid{6}).store().has(f));
@@ -113,15 +113,15 @@ TEST(AutoReplication, SuccessiveWindowsWalkTheChildrenList) {
 }
 
 TEST(AutoReplication, FlashCrowdRampDownPrunesColdReplicas) {
-  Swarm swarm(loop_cfg(6, 6));
+  ShardedSwarm swarm(loop_cfg(6, 6));
   const FileId f = swarm.insert_named(0xF1A5, Pid{0});
   const Pid target = swarm.peer(Pid{0}).target_of(f);
   swarm.settle();
 
   // Phase 1 (0-15 s): flash crowd. Phase 2 (15-40 s): near silence.
   drive_load(swarm, f, target, 700.0, 15.0);
-  swarm.engine().at(15.0, [&swarm, f, target] {
-    swarm.engine().poisson_process(2.0, 25.0,
+  swarm.engine(0).at(15.0, [&swarm, f, target] {
+    swarm.engine(0).poisson_process(2.0, 25.0,
                                    [&swarm, f, target] {
                                      swarm.get(f, target, Pid{1});
                                    });
@@ -129,11 +129,11 @@ TEST(AutoReplication, FlashCrowdRampDownPrunesColdReplicas) {
   swarm.enable_auto_replication(/*capacity=*/40.0, /*window=*/1.0,
                                 /*stop_at=*/40.0,
                                 /*removal_threshold=*/1.0);
-  swarm.engine().run_until(15.0);
+  swarm.engine(0).run_until(15.0);
   const std::int64_t replicas_at_peak = swarm.auto_replicas();
   EXPECT_GT(replicas_at_peak, 5);
 
-  swarm.engine().run_until(40.0);
+  swarm.engine(0).run_until(40.0);
   swarm.settle();
   // The crowd left: cold replicas were pruned...
   EXPECT_GT(swarm.auto_removals(), replicas_at_peak / 2);
@@ -145,29 +145,29 @@ TEST(AutoReplication, FlashCrowdRampDownPrunesColdReplicas) {
 }
 
 TEST(AutoReplication, RemovalDisabledByDefault) {
-  Swarm swarm(loop_cfg(5, 7));
+  ShardedSwarm swarm(loop_cfg(5, 7));
   const FileId f = swarm.insert_named(0xD15, Pid{0});
   const Pid target = swarm.peer(Pid{0}).target_of(f);
   swarm.settle();
   drive_load(swarm, f, target, 400.0, 5.0);
   swarm.enable_auto_replication(30.0, 1.0, 20.0);  // no threshold
-  swarm.engine().run_until(20.0);
+  swarm.engine(0).run_until(20.0);
   swarm.settle();
   EXPECT_GT(swarm.auto_replicas(), 0);
   EXPECT_EQ(swarm.auto_removals(), 0);
 }
 
 TEST(AutoReplication, FaultTolerantLoopStaysInsideSubtrees) {
-  Swarm::Config cfg = loop_cfg(6, 5);
+  ShardedSwarm::Config cfg = loop_cfg(6, 5);
   cfg.b = 2;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   const FileId f = swarm.insert_named(0xF70BEEFULL, Pid{0});
   const Pid target = swarm.peer(Pid{0}).target_of(f);
   swarm.settle();
 
   drive_load(swarm, f, target, 600.0, 20.0);
   swarm.enable_auto_replication(30.0, 1.0, 20.0);
-  swarm.engine().run_until(20.0);
+  swarm.engine(0).run_until(20.0);
   swarm.settle();
   EXPECT_GT(swarm.auto_replicas(), 0);
   EXPECT_EQ(swarm.total_faults(), 0);

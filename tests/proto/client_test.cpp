@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 
 namespace lesslog::proto {
 namespace {
@@ -14,14 +14,14 @@ using core::FileId;
 using core::Pid;
 
 TEST(Client, TotalBlackoutFaultsAfterRetryBudget) {
-  Swarm::Config cfg;
+  ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 0;
   cfg.nodes = 16;
   cfg.net.drop_probability = 1.0;  // nothing ever arrives
   cfg.client.timeout = 0.1;
   cfg.client.max_retries = 3;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
 
   GetResult result;
   bool done = false;
@@ -40,7 +40,7 @@ TEST(Client, TotalBlackoutFaultsAfterRetryBudget) {
 }
 
 TEST(Client, CallbackFiresExactlyOnce) {
-  Swarm::Config cfg;
+  ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 0;
   cfg.nodes = 16;
@@ -48,7 +48,7 @@ TEST(Client, CallbackFiresExactlyOnce) {
   cfg.client.max_retries = 4;
   cfg.net.base_latency = 0.02;
   cfg.net.jitter = 0.0;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   const FileId f = swarm.insert_named(0xCAFE, Pid{0});
   swarm.settle();
 
@@ -63,13 +63,13 @@ TEST(Client, CallbackFiresExactlyOnce) {
 }
 
 TEST(Client, LatencyRecordsOnlySuccesses) {
-  Swarm::Config cfg;
+  ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 0;
   cfg.nodes = 16;
   cfg.client.timeout = 0.05;
   cfg.client.max_retries = 1;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   const FileId f = swarm.insert_named(0xBEAD, Pid{0});
   swarm.settle();
   const Pid target = swarm.peer(Pid{0}).target_of(f);
@@ -84,7 +84,7 @@ TEST(Client, LatencyRecordsOnlySuccesses) {
 }
 
 TEST(Client, InsertRetriesUntilAcked) {
-  Swarm::Config cfg;
+  ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 0;
   cfg.nodes = 16;
@@ -92,7 +92,7 @@ TEST(Client, InsertRetriesUntilAcked) {
   cfg.net.drop_probability = 0.5;
   cfg.client.timeout = 0.05;
   cfg.client.max_retries = 12;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
 
   bool ok = false;
   swarm.client(Pid{2}).insert(FileId{0xAB}, Pid{7}, Pid{7},
@@ -105,14 +105,14 @@ TEST(Client, InsertRetriesUntilAcked) {
 }
 
 TEST(Client, InsertBlackoutReportsFailure) {
-  Swarm::Config cfg;
+  ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 0;
   cfg.nodes = 16;
   cfg.net.drop_probability = 1.0;
   cfg.client.timeout = 0.02;
   cfg.client.max_retries = 2;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   bool ok = true;
   swarm.client(Pid{2}).insert(FileId{0xAC}, Pid{7}, Pid{7},
                               [&ok](bool acked) { ok = acked; });
@@ -121,11 +121,11 @@ TEST(Client, InsertBlackoutReportsFailure) {
 }
 
 TEST(Client, RequestIdsAreStripedPerClient) {
-  Swarm::Config cfg;
+  ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 0;
   cfg.nodes = 16;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   const FileId f = swarm.insert_named(0x11, Pid{0});
   swarm.settle();
   // Concurrent gets from many clients: all complete despite shared wires.

@@ -1,4 +1,4 @@
-// Swarm crash -> restart recovery under a lossy network.
+// Crash -> restart recovery under a lossy network.
 //
 // With b > 0, Section 5.3 recovery plus the acked/retransmitted file
 // push must restore every ψ-named file even when datagrams drop; with
@@ -9,12 +9,12 @@
 #include <set>
 #include <vector>
 
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 
 namespace lesslog::proto {
 namespace {
 
-bool live_copy_exists(Swarm& swarm, core::FileId f) {
+bool live_copy_exists(ShardedSwarm& swarm, core::FileId f) {
   for (std::uint32_t p = 0; p < swarm.status().capacity(); ++p) {
     if (swarm.status().is_live(p) &&
         swarm.peer(core::Pid{p}).store().has(f)) {
@@ -25,13 +25,13 @@ bool live_copy_exists(Swarm& swarm, core::FileId f) {
 }
 
 TEST(CrashRecovery, LossyNetworkStillRestoresEveryFileWithFaultBits) {
-  Swarm::Config cfg;
+  ShardedSwarm::Config cfg;
   cfg.m = 5;
   cfg.b = 2;
   cfg.nodes = 32;
   cfg.seed = 42;
   cfg.net.drop_probability = 0.10;  // pushes must survive via retries
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
 
   std::vector<core::FileId> files;
   for (std::uint64_t key = 1; key <= 40; ++key) {
@@ -81,12 +81,12 @@ TEST(CrashRecovery, LossyNetworkStillRestoresEveryFileWithFaultBits) {
 }
 
 TEST(CrashRecovery, WithoutFaultBitsLostFilesAreExactlyTheVictims) {
-  Swarm::Config cfg;
+  ShardedSwarm::Config cfg;
   cfg.m = 5;
   cfg.b = 0;
   cfg.nodes = 32;
   cfg.seed = 7;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
 
   std::vector<core::FileId> files;
   for (std::uint64_t key = 1; key <= 60; ++key) {

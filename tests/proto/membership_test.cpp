@@ -3,7 +3,7 @@
 // actual datagrams with latency, verified against availability.
 #include <gtest/gtest.h>
 
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/hashing.hpp"
 #include "lesslog/util/rng.hpp"
 
@@ -13,8 +13,9 @@ namespace {
 using core::FileId;
 using core::Pid;
 
-Swarm::Config cfg_of(int m, int b, std::uint32_t nodes, std::uint64_t seed) {
-  Swarm::Config cfg;
+ShardedSwarm::Config cfg_of(int m, int b, std::uint32_t nodes,
+                            std::uint64_t seed) {
+  ShardedSwarm::Config cfg;
   cfg.m = m;
   cfg.b = b;
   cfg.nodes = nodes;
@@ -25,7 +26,7 @@ Swarm::Config cfg_of(int m, int b, std::uint32_t nodes, std::uint64_t seed) {
 }
 
 // Gets must succeed from every live node for every file.
-void expect_all_available(Swarm& swarm,
+void expect_all_available(ShardedSwarm& swarm,
                           const std::vector<FileId>& files) {
   for (const FileId f : files) {
     const Pid r = Pid{util::psi_u64(f.key(), swarm.width())};
@@ -40,7 +41,7 @@ void expect_all_available(Swarm& swarm,
 }
 
 TEST(WireMembership, GracefulLeavePushesInsertedFiles) {
-  Swarm swarm(cfg_of(5, 0, 32, 1));
+  ShardedSwarm swarm(cfg_of(5, 0, 32, 1));
   std::vector<FileId> files;
   for (std::uint64_t k = 0; k < 8; ++k) {
     files.push_back(swarm.insert_named(0xAA00 + k, Pid{0}));
@@ -58,7 +59,7 @@ TEST(WireMembership, GracefulLeavePushesInsertedFiles) {
 }
 
 TEST(WireMembership, JoinReclaimsFiles) {
-  Swarm swarm(cfg_of(4, 0, 16, 2));
+  ShardedSwarm swarm(cfg_of(4, 0, 16, 2));
   // The paper's 5.1 example: P(4), P(5) gone, file targeting P(4) sits at
   // P(6); when P(5) rejoins, the file must be pushed back to P(5).
   swarm.depart(Pid{4});
@@ -86,7 +87,7 @@ TEST(WireMembership, JoinReclaimsFiles) {
 }
 
 TEST(WireMembership, CrashWithoutFaultToleranceLosesFile) {
-  Swarm swarm(cfg_of(4, 0, 16, 3));
+  ShardedSwarm swarm(cfg_of(4, 0, 16, 3));
   const FileId f = swarm.insert_named(0xBEEF, Pid{1});
   swarm.settle();
   const Pid holder = Pid{util::psi_u64(0xBEEF, 4)};
@@ -101,7 +102,7 @@ TEST(WireMembership, CrashWithoutFaultToleranceLosesFile) {
 }
 
 TEST(WireMembership, CrashWithFaultToleranceRecovers) {
-  Swarm swarm(cfg_of(6, 2, 64, 4));
+  ShardedSwarm swarm(cfg_of(6, 2, 64, 4));
   std::vector<FileId> files;
   for (std::uint64_t k = 0; k < 6; ++k) {
     files.push_back(swarm.insert_named(0xCC00 + k, Pid{3}));
@@ -134,7 +135,7 @@ TEST(WireMembership, CrashWithFaultToleranceRecovers) {
 }
 
 TEST(WireMembership, RollingRestartAtProtocolLevel) {
-  Swarm swarm(cfg_of(5, 1, 32, 5));
+  ShardedSwarm swarm(cfg_of(5, 1, 32, 5));
   std::vector<FileId> files;
   for (std::uint64_t k = 0; k < 8; ++k) {
     files.push_back(swarm.insert_named(0xDD00 + k, Pid{2}));
@@ -151,7 +152,7 @@ TEST(WireMembership, RollingRestartAtProtocolLevel) {
 }
 
 TEST(WireMembership, RecoveryCostsOnePushPerLostCopy) {
-  Swarm swarm(cfg_of(6, 2, 64, 6));
+  ShardedSwarm swarm(cfg_of(6, 2, 64, 6));
   [[maybe_unused]] const FileId f = swarm.insert_named(0xEE01, Pid{0});
   swarm.settle();
 
@@ -160,10 +161,10 @@ TEST(WireMembership, RecoveryCostsOnePushPerLostCopy) {
   const std::vector<Pid> holders = view.insertion_targets(swarm.status());
   ASSERT_EQ(holders.size(), 4u);
 
-  const std::int64_t before = swarm.network().messages_sent();
+  const std::int64_t before = swarm.messages_sent();
   swarm.crash(holders[0]);
   swarm.settle();
-  const std::int64_t spent = swarm.network().messages_sent() - before;
+  const std::int64_t spent = swarm.messages_sent() - before;
   // Status broadcast (63 surviving peers) + one kFilePush + its ack.
   EXPECT_EQ(spent, 65);
 }
@@ -173,9 +174,9 @@ TEST(WireMembership, RapidCrashRejoinWithInflightTimersIsSafe) {
   // draining in between must not leave engine timers pointing at a
   // destroyed object. Peers are reused across rejoin cycles; stale push
   // timers find their pending entries gone and no-op.
-  Swarm::Config cfg = cfg_of(5, 1, 32, 11);
+  ShardedSwarm::Config cfg = cfg_of(5, 1, 32, 11);
   cfg.net.drop_probability = 0.6;  // force push retransmission timers
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   std::vector<FileId> files;
   for (std::uint64_t k = 0; k < 6; ++k) {
     files.push_back(swarm.insert_named(0xAB30 + k, Pid{0}));
@@ -184,9 +185,9 @@ TEST(WireMembership, RapidCrashRejoinWithInflightTimersIsSafe) {
   for (int round = 0; round < 6; ++round) {
     const Pid victim{static_cast<std::uint32_t>(5 + round)};
     if (swarm.status().is_live(victim.value())) swarm.crash(victim);
-    swarm.engine().run_until(swarm.engine().now() + 0.01);  // partial drain
+    swarm.engine(0).run_until(swarm.engine(0).now() + 0.01);  // partial drain
     swarm.join(victim);
-    swarm.engine().run_until(swarm.engine().now() + 0.01);
+    swarm.engine(0).run_until(swarm.engine(0).now() + 0.01);
   }
   swarm.settle();  // every stale timer fires against live, reused objects
   SUCCEED();
@@ -195,9 +196,9 @@ TEST(WireMembership, RapidCrashRejoinWithInflightTimersIsSafe) {
 TEST(WireMembership, PushesSurvivePacketLoss) {
   // File transfers are acked and retried: a graceful leave on a lossy
   // network must still deliver every inserted file to its new holder.
-  Swarm::Config cfg = cfg_of(5, 0, 32, 9);
+  ShardedSwarm::Config cfg = cfg_of(5, 0, 32, 9);
   cfg.net.drop_probability = 0.4;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   std::vector<FileId> files;
   for (std::uint64_t k = 0; k < 8; ++k) {
     files.push_back(swarm.insert_named(0xEE10 + k, Pid{0}));
@@ -230,9 +231,9 @@ TEST(WireMembership, DuplicatePushesAreIdempotent) {
   // Force retransmissions by dropping ~half the datagrams: the new holder
   // may receive the same push several times; exactly one inserted copy
   // must result, at the pushed version.
-  Swarm::Config cfg = cfg_of(4, 0, 16, 10);
+  ShardedSwarm::Config cfg = cfg_of(4, 0, 16, 10);
   cfg.net.drop_probability = 0.5;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   const FileId f = swarm.insert_named(0xEE99, Pid{0});
   swarm.settle();
   const Pid holder = Pid{util::psi_u64(0xEE99, 4)};

@@ -2,7 +2,7 @@
 // messages must degrade gracefully, never loop or crash.
 #include <gtest/gtest.h>
 
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/proto/trace.hpp"
 #include "lesslog/util/hashing.hpp"
 
@@ -12,8 +12,8 @@ namespace {
 using core::FileId;
 using core::Pid;
 
-Swarm::Config cfg16() {
-  Swarm::Config cfg;
+ShardedSwarm::Config cfg16() {
+  ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 0;
   cfg.nodes = 16;
@@ -23,7 +23,7 @@ Swarm::Config cfg16() {
 }
 
 TEST(PeerRobustness, HopCountFenceStopsForgedLoops) {
-  Swarm swarm(cfg16());
+  ShardedSwarm swarm(cfg16());
   Trace trace(swarm);
   // Forge a GET that claims to have travelled far too long already; the
   // receiving peer must answer MISS instead of forwarding further.
@@ -36,7 +36,7 @@ TEST(PeerRobustness, HopCountFenceStopsForgedLoops) {
   forged.subject = Pid{4};
   forged.file = FileId{0x404};
   forged.hop_count = 200;
-  swarm.network().send(forged);
+  swarm.network(0).send(forged);
   swarm.settle();
   EXPECT_EQ(trace.count(MsgType::kGetRequest), 1u);  // not forwarded
   ASSERT_EQ(trace.count(MsgType::kGetReply), 1u);
@@ -47,10 +47,10 @@ TEST(PeerRobustness, StaleStatusWordRoutesHealThroughRetries) {
   // A peer that never learns about a departure keeps forwarding to the
   // dead node; the datagram is undeliverable, the client times out,
   // retries, and (after the announcement finally lands) succeeds.
-  Swarm::Config cfg = cfg16();
+  ShardedSwarm::Config cfg = cfg16();
   cfg.client.timeout = 0.05;
   cfg.client.max_retries = 4;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   std::uint64_t key = 0;
   while (util::psi_u64(key, 4) != 4) ++key;
   const FileId f = swarm.insert_named(key, Pid{1});
@@ -58,13 +58,13 @@ TEST(PeerRobustness, StaleStatusWordRoutesHealThroughRetries) {
 
   // Silence P(0) without telling anyone (detach only): P(8)'s route runs
   // through it and now blackholes.
-  swarm.network().detach(Pid{0});
+  swarm.network(0).detach(Pid{0});
   GetResult first;
   swarm.get(f, Pid{4}, Pid{8}, [&](const GetResult& r) { first = r; });
   swarm.settle();
   // All retries went into the same dead hop: the request faults...
   EXPECT_FALSE(first.ok);
-  EXPECT_GT(swarm.network().undeliverable(), 0);
+  EXPECT_GT(swarm.undeliverable(), 0);
 
   // ...until the failure is finally announced; then routing skips P(0).
   for (std::uint32_t q = 0; q < 16; ++q) {
@@ -75,7 +75,7 @@ TEST(PeerRobustness, StaleStatusWordRoutesHealThroughRetries) {
     announce.to = Pid{q};
     announce.subject = Pid{0};
     announce.ok = false;
-    swarm.network().send(announce);
+    swarm.network(0).send(announce);
   }
   swarm.settle();
   GetResult second;
@@ -85,19 +85,19 @@ TEST(PeerRobustness, StaleStatusWordRoutesHealThroughRetries) {
 }
 
 TEST(PeerRobustness, UnknownFilePushAckIsIgnored) {
-  Swarm swarm(cfg16());
+  ShardedSwarm swarm(cfg16());
   Message stray;
   stray.request_id = 0xFFFF'0001;
   stray.type = MsgType::kFilePushAck;
   stray.from = Pid{3};
   stray.to = Pid{7};
-  swarm.network().send(stray);
+  swarm.network(0).send(stray);
   swarm.settle();
   SUCCEED();  // nothing to assert beyond "no crash, no effect"
 }
 
 TEST(PeerRobustness, DuplicateStatusAnnouncesAreIdempotent) {
-  Swarm swarm(cfg16());
+  ShardedSwarm swarm(cfg16());
   for (int i = 0; i < 5; ++i) {
     Message announce;
     announce.type = MsgType::kStatusAnnounce;
@@ -105,7 +105,7 @@ TEST(PeerRobustness, DuplicateStatusAnnouncesAreIdempotent) {
     announce.to = Pid{2};
     announce.subject = Pid{5};
     announce.ok = false;
-    swarm.network().send(announce);
+    swarm.network(0).send(announce);
   }
   swarm.settle();
   EXPECT_FALSE(swarm.peer(Pid{2}).status().is_live(5));
@@ -116,13 +116,13 @@ TEST(PeerRobustness, DuplicateStatusAnnouncesAreIdempotent) {
   revive.to = Pid{2};
   revive.subject = Pid{5};
   revive.ok = true;
-  swarm.network().send(revive);
+  swarm.network(0).send(revive);
   swarm.settle();
   EXPECT_TRUE(swarm.peer(Pid{2}).status().is_live(5));
 }
 
 TEST(PeerRobustness, GetForMissingFileTerminatesQuickly) {
-  Swarm swarm(cfg16());
+  ShardedSwarm swarm(cfg16());
   Trace trace(swarm);
   GetResult result;
   swarm.get(FileId{0xAB5E27}, Pid{11}, Pid{2},

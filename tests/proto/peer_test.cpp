@@ -8,7 +8,7 @@
 
 #include "lesslog/core/routing.hpp"
 #include "lesslog/core/update.hpp"
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/rng.hpp"
 
 namespace lesslog::proto {
@@ -17,9 +17,9 @@ namespace {
 using core::FileId;
 using core::Pid;
 
-Swarm::Config lossless(int m, int b, std::uint32_t nodes,
+ShardedSwarm::Config lossless(int m, int b, std::uint32_t nodes,
                        std::uint64_t seed = 1) {
-  Swarm::Config cfg;
+  ShardedSwarm::Config cfg;
   cfg.m = m;
   cfg.b = b;
   cfg.nodes = nodes;
@@ -31,7 +31,7 @@ Swarm::Config lossless(int m, int b, std::uint32_t nodes,
 
 TEST(PeerProtocol, PaperRoutingExampleMessageByMessage) {
   // P(8) -> P(0) -> P(4): the GETFILE chain of Figure 2 as real messages.
-  Swarm swarm(lossless(4, 0, 16));
+  ShardedSwarm swarm(lossless(4, 0, 16));
   const FileId f{111};
   swarm.insert(f, Pid{4}, Pid{2});
   swarm.settle();
@@ -48,7 +48,7 @@ TEST(PeerProtocol, PaperRoutingExampleMessageByMessage) {
 
 TEST(PeerProtocol, HopCountsMatchCoreRoutingEverywhere) {
   const int m = 6;
-  Swarm swarm(lossless(m, 0, 64, 3));
+  ShardedSwarm swarm(lossless(m, 0, 64, 3));
   // Knock out some nodes to exercise the advanced model.
   for (const std::uint32_t dead : {5u, 9u, 33u, 60u, 61u, 62u, 63u}) {
     swarm.depart(Pid{dead});
@@ -78,7 +78,7 @@ TEST(PeerProtocol, HopCountsMatchCoreRoutingEverywhere) {
 }
 
 TEST(PeerProtocol, ReplicaShortCircuitsLikeCore) {
-  Swarm swarm(lossless(4, 0, 16));
+  ShardedSwarm swarm(lossless(4, 0, 16));
   const FileId f{333};
   swarm.insert(f, Pid{4}, Pid{1});
   swarm.settle();
@@ -99,7 +99,7 @@ TEST(PeerProtocol, ReplicaShortCircuitsLikeCore) {
 
 TEST(PeerProtocol, UpdatePushReachesSameSetAsCorePropagation) {
   const int m = 5;
-  Swarm swarm(lossless(m, 0, 32, 9));
+  ShardedSwarm swarm(lossless(m, 0, 32, 9));
   const Pid target{20};
   const FileId f{444};
   swarm.insert(f, target, Pid{3});
@@ -138,7 +138,7 @@ TEST(PeerProtocol, UpdatePushReachesSameSetAsCorePropagation) {
 }
 
 TEST(PeerProtocol, FaultToleranceMigratesAcrossSubtrees) {
-  Swarm swarm(lossless(6, 2, 64, 11));
+  ShardedSwarm swarm(lossless(6, 2, 64, 11));
   const Pid target{40};
   const FileId f{555};
   swarm.insert(f, target, Pid{2});
@@ -161,7 +161,7 @@ TEST(PeerProtocol, FaultToleranceMigratesAcrossSubtrees) {
 }
 
 TEST(PeerProtocol, MissingFileFaultsAfterAllSubtrees) {
-  Swarm swarm(lossless(5, 1, 32));
+  ShardedSwarm swarm(lossless(5, 1, 32));
   GetResult result;
   swarm.get(FileId{666}, Pid{10}, Pid{4},
             [&](const GetResult& r) { result = r; });
@@ -172,11 +172,11 @@ TEST(PeerProtocol, MissingFileFaultsAfterAllSubtrees) {
 }
 
 TEST(PeerProtocol, LossyNetworkRecoversViaRetries) {
-  Swarm::Config cfg = lossless(5, 0, 32, 21);
+  ShardedSwarm::Config cfg = lossless(5, 0, 32, 21);
   cfg.net.drop_probability = 0.2;
   cfg.client.timeout = 0.05;
   cfg.client.max_retries = 6;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   const FileId f{777};
   // Inserts may drop; retry loop in the client covers them.
   swarm.insert(f, Pid{17}, Pid{0});
@@ -194,11 +194,11 @@ TEST(PeerProtocol, LossyNetworkRecoversViaRetries) {
   // With 20% loss per message and 6 retries per leg, nearly everything
   // completes; the assertion leaves room for unlucky multi-hop paths.
   EXPECT_GE(ok, issued - 3);
-  EXPECT_GT(swarm.network().dropped(), 0);
+  EXPECT_GT(swarm.dropped(), 0);
 }
 
 TEST(PeerProtocol, StatusAnnouncementsConvergePeers) {
-  Swarm swarm(lossless(4, 0, 16));
+  ShardedSwarm swarm(lossless(4, 0, 16));
   swarm.depart(Pid{5});
   swarm.settle();
   for (std::uint32_t k = 0; k < 16; ++k) {
@@ -214,10 +214,10 @@ TEST(PeerProtocol, StatusAnnouncementsConvergePeers) {
 }
 
 TEST(PeerProtocol, LatencyIsHopsTimesLinkLatency) {
-  Swarm::Config cfg = lossless(4, 0, 16);
+  ShardedSwarm::Config cfg = lossless(4, 0, 16);
   cfg.net.base_latency = 0.01;
   cfg.net.jitter = 0.0;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   const FileId f{888};
   swarm.insert(f, Pid{4}, Pid{4});
   swarm.settle();

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "lesslog/core/fault_tolerant.hpp"
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/liveness_view.hpp"
 
 namespace lesslog::proto {
@@ -86,8 +86,8 @@ TEST(RttEstimator, RingSaturatesAtWindow) {
 // may feed the estimator — a retransmitted or hedged leg's reply can never
 // be credited to the wrong transmission.
 
-Swarm::Config karn_config() {
-  Swarm::Config cfg;
+ShardedSwarm::Config karn_config() {
+  ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 0;
   cfg.nodes = 16;
@@ -98,7 +98,7 @@ Swarm::Config karn_config() {
 }
 
 TEST(KarnRule, CleanFirstTransmissionFeedsEstimator) {
-  Swarm swarm(karn_config());
+  ShardedSwarm swarm(karn_config());
   const FileId f = swarm.insert_named(0xFACE, Pid{0});
   swarm.settle();
   const Pid target = swarm.peer(Pid{0}).target_of(f);
@@ -118,11 +118,11 @@ TEST(KarnRule, CleanFirstTransmissionFeedsEstimator) {
 }
 
 TEST(KarnRule, RetransmittedLegTakesNoSample) {
-  Swarm::Config cfg = karn_config();
+  ShardedSwarm::Config cfg = karn_config();
   cfg.client.timeout = 0.01;  // shorter than one 10 ms hop: every leg
   cfg.client.max_retries = 6; // retransmits before its reply can land
   cfg.net.base_latency = 0.02;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   const FileId f = swarm.insert_named(0xFADE, Pid{0});
   swarm.settle();
   const Pid target = swarm.peer(Pid{0}).target_of(f);
@@ -141,7 +141,7 @@ TEST(KarnRule, RetransmittedLegTakesNoSample) {
 }
 
 TEST(KarnRule, HedgedRequestTakesNoSampleAndReconciles) {
-  Swarm::Config cfg;
+  ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 1;  // hedging needs an alternate replica subtree
   cfg.nodes = 16;
@@ -149,7 +149,7 @@ TEST(KarnRule, HedgedRequestTakesNoSampleAndReconciles) {
   cfg.net.jitter = 0.0;
   cfg.client.timeout = 1.0;    // warmup hedge delay = timeout / 2 = 0.5 s
   cfg.client.hedge_percentile = 0.9;
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   const FileId f = swarm.insert_named(0xFEED, Pid{0});
   swarm.settle();
   const Pid target = swarm.peer(Pid{0}).target_of(f);
@@ -185,7 +185,7 @@ TEST(KarnRule, HedgedRequestTakesNoSampleAndReconciles) {
 // loaded, not dead.
 
 TEST(BusyShedding, ShedBurstDrainsWithoutFaults) {
-  Swarm::Config cfg;
+  ShardedSwarm::Config cfg;
   cfg.m = 3;
   cfg.b = 0;  // one subtree: any shed would fault without the wrap
   cfg.nodes = 8;
@@ -194,7 +194,7 @@ TEST(BusyShedding, ShedBurstDrainsWithoutFaults) {
   cfg.client.max_retries = 6;
   cfg.peer.busy_budget = 1;    // one token per peer: a burst must shed
   cfg.peer.busy_refill = 50.0; // ...and refill fast enough to drain
-  Swarm swarm(cfg);
+  ShardedSwarm swarm(cfg);
   const FileId f = swarm.insert_named(0xB0B0, Pid{0});
   swarm.settle();
   const Pid target = swarm.peer(Pid{0}).target_of(f);
@@ -272,8 +272,8 @@ class FakeSuspicionView final : public util::MutableLivenessView {
   std::vector<std::uint32_t> suspects_;  ///< ascending
 };
 
-Swarm::Config suspicion_config() {
-  Swarm::Config cfg;
+ShardedSwarm::Config suspicion_config() {
+  ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 1;
   cfg.nodes = 16;
@@ -284,7 +284,7 @@ Swarm::Config suspicion_config() {
 }
 
 TEST(SuspicionRouting, MassFalseSuspicionNeverBlocksASubtree) {
-  Swarm swarm(suspicion_config());
+  ShardedSwarm swarm(suspicion_config());
   const FileId f = swarm.insert_named(0x5057, Pid{0});
   swarm.settle();
   const Pid target = swarm.peer(Pid{0}).target_of(f);
@@ -311,7 +311,7 @@ TEST(SuspicionRouting, MassFalseSuspicionNeverBlocksASubtree) {
 }
 
 TEST(SuspicionRouting, FalseSuspectAvoidedUntilRefuted) {
-  Swarm swarm(suspicion_config());
+  ShardedSwarm swarm(suspicion_config());
   const FileId f = swarm.insert_named(0x5058, Pid{0});
   swarm.settle();
   const Pid target = swarm.peer(Pid{0}).target_of(f);

@@ -13,8 +13,8 @@ namespace {
 using core::FileId;
 using core::Pid;
 
-Swarm::Config traced_cfg() {
-  Swarm::Config cfg;
+ShardedSwarm::Config traced_cfg() {
+  ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 0;
   cfg.nodes = 16;
@@ -24,7 +24,7 @@ Swarm::Config traced_cfg() {
 }
 
 TEST(Trace, RecordsThePaperGetSequence) {
-  Swarm swarm(traced_cfg());
+  ShardedSwarm swarm(traced_cfg());
   Trace trace(swarm);
 
   // Find a ψ-key targeting P(4) and fetch it from P(8): the canonical
@@ -51,7 +51,7 @@ TEST(Trace, RecordsThePaperGetSequence) {
 }
 
 TEST(Trace, CountsBroadcastFanout) {
-  Swarm swarm(traced_cfg());
+  ShardedSwarm swarm(traced_cfg());
   Trace trace(swarm);
   swarm.depart(Pid{5});
   swarm.settle();
@@ -60,7 +60,7 @@ TEST(Trace, CountsBroadcastFanout) {
 }
 
 TEST(Trace, RenderMentionsTypesAndNodes) {
-  Swarm swarm(traced_cfg());
+  ShardedSwarm swarm(traced_cfg());
   Trace trace(swarm);
   const FileId f = swarm.insert_named(0x77, Pid{3});
   swarm.settle();
@@ -72,7 +72,7 @@ TEST(Trace, RenderMentionsTypesAndNodes) {
 }
 
 TEST(Trace, JsonlIsOneObjectPerRecord) {
-  Swarm swarm(traced_cfg());
+  ShardedSwarm swarm(traced_cfg());
   Trace trace(swarm);
   swarm.insert_named(0x88, Pid{1});
   swarm.settle();
@@ -87,7 +87,7 @@ TEST(Trace, JsonlIsOneObjectPerRecord) {
 }
 
 TEST(Trace, ClearAndReuse) {
-  Swarm swarm(traced_cfg());
+  ShardedSwarm swarm(traced_cfg());
   Trace trace(swarm);
   swarm.insert_named(0x99, Pid{1});
   swarm.settle();

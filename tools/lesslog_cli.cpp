@@ -46,7 +46,7 @@
 #include "lesslog/core/system.hpp"
 #include "lesslog/net/serve.hpp"
 #include "lesslog/obs/export.hpp"
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/sim/catalog.hpp"
 #include "lesslog/sim/churn.hpp"
 #include "lesslog/sim/experiment.hpp"
@@ -297,7 +297,7 @@ int cmd_metrics(const Flags& flags) {
     throw std::runtime_error("--format must be table, json, or csv");
   }
 
-  proto::Swarm::Config cfg;
+  proto::ShardedSwarm::Config cfg;
   cfg.m = m;
   cfg.b = flags.get("b", 0);
   cfg.nodes = util::space_size(m);
@@ -307,7 +307,7 @@ int cmd_metrics(const Flags& flags) {
   cfg.net.drop_probability = flags.get("drop", 0.0);
   cfg.client.timeout = 0.25;
   cfg.client.max_retries = 5;
-  proto::Swarm swarm(cfg);
+  proto::ShardedSwarm swarm(cfg);
 
   util::Rng rng(cfg.seed ^ 0xF00DULL);
   std::vector<std::pair<core::FileId, core::Pid>> files;
@@ -325,20 +325,20 @@ int cmd_metrics(const Flags& flags) {
   // swarm rather than a single burst.
   const double window = 1.0;
   swarm.enable_metrics_sampling(
-      interval, swarm.engine().now() + window + 1.0);
+      interval, swarm.engine(0).now() + window + 1.0);
   for (int i = 0; i < requests; ++i) {
     const auto& [f, target] = files[rng.bounded(files.size())];
     const core::Pid at{
         static_cast<std::uint32_t>(rng.bounded(util::space_size(m)))};
     const double delay = window * static_cast<double>(i) / requests;
-    swarm.engine().after_fixed(
+    swarm.engine(0).after_fixed(
         delay, [&swarm, f = f, target = target, at] {
           swarm.get(f, target, at);
         });
   }
   swarm.settle();
 
-  const obs::Snapshot snap = swarm.registry().snapshot(swarm.engine().now());
+  const obs::Snapshot snap = swarm.metrics_snapshot(swarm.engine(0).now());
   const obs::TimeSeries& series = swarm.metrics_series();
 
   std::ostream* out = &std::cout;
