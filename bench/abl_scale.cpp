@@ -298,11 +298,9 @@ int main(int argc, char** argv) {
            {"events", static_cast<double>(cell.events)},
            {"cross_frac", cell.cross_frac}}});
     }
-#if LESSLOG_METRICS_ENABLED
     bench::check(fracs[1] < fracs[0],
                  "subtree locality map crosses shards less than the range "
                  "map on tree-local traffic");
-#endif
   }
 
   const double wall_ms = std::chrono::duration<double, std::milli>(

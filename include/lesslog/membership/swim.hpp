@@ -286,9 +286,9 @@ class SwimAgent {
 /// Owns every agent, drives the armed detection window, and aggregates
 /// protocol tallies. Registered as a DeliverySink on each shard network
 /// so membership transitions (crash/join) enable and disable the right
-/// agent. The tallies are plain integers kept unconditionally — the
-/// chaos auditor and the membership bench need them even under
-/// LESSLOG_NO_METRICS; the obs counters are the compiled-out layer.
+/// agent. The tallies are plain integers on the runtime, which the chaos
+/// driver and the membership bench read between barriers; the per-shard
+/// obs counters carry the same events into metric snapshots.
 class SwimRuntime final : public obs::DeliverySink {
  public:
   SwimRuntime(SwimConfig cfg, int m);

@@ -6,10 +6,6 @@
 // instrumented code; snapshots walk the registry in registration order,
 // so two swarms built the same way produce shape-identical (and, at equal
 // seeds, value-identical) snapshots.
-//
-// Compiling with -DLESSLOG_NO_METRICS removes every instrumentation
-// statement (see LESSLOG_METRICS below); the registry type remains so the
-// API surface does not change shape.
 #pragma once
 
 #include <cmath>
@@ -21,21 +17,6 @@
 #include <vector>
 
 #include "lesslog/util/histogram.hpp"
-
-// Wraps an instrumentation statement so -DLESSLOG_NO_METRICS compiles it
-// out entirely (not even a null check survives).
-#if defined(LESSLOG_NO_METRICS)
-#define LESSLOG_METRICS_ENABLED 0
-#define LESSLOG_METRICS(stmt) \
-  do {                        \
-  } while (false)
-#else
-#define LESSLOG_METRICS_ENABLED 1
-#define LESSLOG_METRICS(stmt) \
-  do {                        \
-    stmt;                     \
-  } while (false)
-#endif
 
 namespace lesslog::obs {
 

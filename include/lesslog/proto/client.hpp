@@ -67,37 +67,23 @@ struct GetResult {
   int migrations = 0;
 };
 
-/// Plain counters for the reliability layer, maintained unconditionally
-/// (unlike obs cells, which compile out under -DLESSLOG_NO_METRICS) so the
-/// chaos audit can reconcile them in every build flavor. At quiescence two
-/// exact identities hold per client: issued == ok + faults, and
-/// hedges_launched == hedge_won + hedge_cancelled — every hedge leg is
-/// resolved exactly once no matter how many replies the wire drops or
-/// duplicates.
+/// The reliability layer's counters, as ShardedSwarm::reliability_ledger()
+/// sums them from the swarm's WireMetrics cells. At quiescence two exact
+/// identities hold: issued == ok + faults, and hedges_launched ==
+/// hedge_won + hedge_cancelled — every hedge leg is resolved exactly once
+/// no matter how many replies the wire drops or duplicates. The chaos
+/// audit checks both.
 struct ReliabilityLedger {
-  std::int64_t issued = 0;
-  std::int64_t ok = 0;
-  std::int64_t faults = 0;
+  std::int64_t issued = 0;           ///< client.gets
+  std::int64_t ok = 0;               ///< client.get_latency samples
+  std::int64_t faults = 0;           ///< client.faults
   std::int64_t rtt_samples = 0;      ///< Karn-clean samples absorbed
   std::int64_t hedges_launched = 0;  ///< second legs actually sent
   std::int64_t hedge_won = 0;        ///< requests completed by the hedge leg
   std::int64_t hedge_cancelled = 0;  ///< hedge legs resolved by the other leg
   std::int64_t busy_received = 0;    ///< kBusy replies acted on
-  std::int64_t busy_shed = 0;        ///< GETs refused (peer side; filled by
-                                     ///< the swarm aggregate)
+  std::int64_t busy_shed = 0;        ///< GETs refused (peer side)
 
-  ReliabilityLedger& operator+=(const ReliabilityLedger& o) noexcept {
-    issued += o.issued;
-    ok += o.ok;
-    faults += o.faults;
-    rtt_samples += o.rtt_samples;
-    hedges_launched += o.hedges_launched;
-    hedge_won += o.hedge_won;
-    hedge_cancelled += o.hedge_cancelled;
-    busy_received += o.busy_received;
-    busy_shed += o.busy_shed;
-    return *this;
-  }
   friend bool operator==(const ReliabilityLedger&,
                          const ReliabilityLedger&) = default;
 };
@@ -124,8 +110,8 @@ class Client {
   }
 
   /// Points the reliability accounting at the swarm's pre-resolved metric
-  /// cells (gets / retries / timeouts / migrations / faults / latency).
-  /// Optional; compiled to nothing under -DLESSLOG_NO_METRICS.
+  /// cells (gets / retries / timeouts / migrations / faults / latency,
+  /// and the adaptive layer's hedge / RTT / kBusy counts). Optional.
   void set_metrics(const obs::WireMetrics* metrics) noexcept {
     metrics_ = metrics;
   }
@@ -133,10 +119,6 @@ class Client {
   [[nodiscard]] const std::vector<double>& latencies() const noexcept {
     return latencies_;
   }
-
-  /// This client's reliability counters (busy_shed left 0 — that side of
-  /// the ledger lives on the peers; the swarm aggregate merges both).
-  [[nodiscard]] ReliabilityLedger ledger() const noexcept;
 
   /// The Jacobson/Karn estimator state (tests and diagnostics). A client
   /// with adaptive timers and hedging both off keeps no estimator and
@@ -247,12 +229,6 @@ class Client {
   std::vector<double> latencies_;
   /// Null unless reliability_active(); see Reliability.
   std::unique_ptr<Reliability> reliability_;
-  // Reliability ledger cells (plain ints: audited in every build flavor).
-  std::int64_t rtt_samples_ = 0;
-  std::int64_t hedges_launched_ = 0;
-  std::int64_t hedge_won_ = 0;
-  std::int64_t hedge_cancelled_ = 0;
-  std::int64_t busy_received_ = 0;
 };
 
 }  // namespace lesslog::proto

@@ -157,7 +157,7 @@ class Network {
   void notify_peer_event(double time, core::Pid peer, bool live);
 
   /// Points the send/deliver accounting at pre-resolved metric cells
-  /// (nullptr detaches). Compiled to nothing under -DLESSLOG_NO_METRICS.
+  /// (nullptr detaches).
   void set_metrics(const obs::WireMetrics* metrics) noexcept {
     metrics_ = metrics;
   }

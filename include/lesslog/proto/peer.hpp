@@ -132,8 +132,7 @@ class Peer {
   void set_reply_sink(ReplySink sink) { reply_sink_ = std::move(sink); }
 
   /// Points the service accounting at the swarm's pre-resolved metric
-  /// cells (served / forwarded / push retries). Optional; compiled to
-  /// nothing under -DLESSLOG_NO_METRICS.
+  /// cells (served / forwarded / push retries / busy sheds). Optional.
   void set_metrics(const obs::WireMetrics* metrics) noexcept {
     metrics_ = metrics;
   }
@@ -165,9 +164,6 @@ class Peer {
   [[nodiscard]] std::int64_t served() const noexcept { return served_; }
   /// Requests forwarded toward other peers.
   [[nodiscard]] std::int64_t forwarded() const noexcept { return forwarded_; }
-  /// GETs refused with kBusy over the service budget. Cumulative across
-  /// rejoins (a ledger cell, not a measurement-window counter).
-  [[nodiscard]] std::int64_t busy_shed() const noexcept { return busy_shed_; }
   [[nodiscard]] const PeerConfig& config() const noexcept { return cfg_; }
 
   /// Measurement-window boundary for the closed-loop controller: zeroes
@@ -267,7 +263,6 @@ class Peer {
   PeerConfig cfg_;
   double busy_tokens_ = 0.0;
   double busy_last_refill_ = 0.0;
-  std::int64_t busy_shed_ = 0;
   core::FileStore store_;
   ReplySink reply_sink_;
   /// Null until the first shed or push; see Cold.

@@ -265,8 +265,7 @@ void SwimAgent::attach_payload(proto::Message& m) {
   m.file = core::FileId{pack_gossip(g.pid, g.state)};
   m.version = g.incarnation;
   tally_.gossip_bytes += 16;  // file + version fields
-  LESSLOG_METRICS(
-      if (metrics_ != nullptr) metrics_->swim_gossip_bytes->add(16));
+  if (metrics_ != nullptr) metrics_->swim_gossip_bytes->add(16);
 }
 
 void SwimAgent::enqueue_gossip(std::uint32_t p, State state,
@@ -283,7 +282,7 @@ void SwimAgent::start_suspect(std::uint32_t p) {
   view_.set_suspected(p, true);
   ++tally_.suspects;
   if (runtime_->truth_live(p)) ++tally_.false_suspects;
-  LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->swim_suspects->inc());
+  if (metrics_ != nullptr) metrics_->swim_suspects->inc();
   enqueue_gossip(p, kSuspect, mm.incarnation);
 }
 
@@ -293,7 +292,7 @@ void SwimAgent::confirm(std::uint32_t p, Member& mm) {
   ++tally_.confirms;
   const bool false_confirm = runtime_->truth_live(p);
   if (false_confirm) ++tally_.false_confirms;
-  LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->swim_confirms->inc());
+  if (metrics_ != nullptr) metrics_->swim_confirms->inc();
   enqueue_gossip(p, kDead, mm.incarnation);
   // The belief flip + Section 5.3 recovery, through the same entry point
   // the oracle's announcement path uses. Guarded: a status announce (a
@@ -313,10 +312,10 @@ void SwimAgent::apply_gossip(std::uint32_t p, State state,
       self_incarnation_ = inc + 1;
       ++tally_.incarnation_bumps;
       ++tally_.refutations;
-      LESSLOG_METRICS(if (metrics_ != nullptr) {
+      if (metrics_ != nullptr) {
         metrics_->swim_incarnation_bumps->inc();
         metrics_->swim_refutations->inc();
-      });
+      }
       enqueue_gossip(p, kAlive, self_incarnation_);
     }
     return;
@@ -332,8 +331,7 @@ void SwimAgent::apply_gossip(std::uint32_t p, State state,
         view_.set_suspected(p, false);
         if (was != kAlive) {
           ++tally_.refutations;
-          LESSLOG_METRICS(
-              if (metrics_ != nullptr) metrics_->swim_refutations->inc());
+          if (metrics_ != nullptr) metrics_->swim_refutations->inc();
           if (!view_.is_live(p)) peer_->learn_live(core::Pid{p});
           enqueue_gossip(p, kAlive, inc);
         }
@@ -376,8 +374,7 @@ void SwimAgent::direct_evidence_alive(core::Pid sender) {
     view_.set_suspected(sender.value(), false);
     ++mm.incarnation;
     ++tally_.refutations;
-    LESSLOG_METRICS(
-        if (metrics_ != nullptr) metrics_->swim_refutations->inc());
+    if (metrics_ != nullptr) metrics_->swim_refutations->inc();
     enqueue_gossip(sender.value(), kAlive, mm.incarnation);
   }
   if (!view_.is_live(sender.value())) peer_->learn_live(sender);

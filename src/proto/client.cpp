@@ -68,19 +68,6 @@ const RttEstimator& Client::estimator() const noexcept {
   return reliability_ != nullptr ? reliability_->estimator : kUnprimed;
 }
 
-ReliabilityLedger Client::ledger() const noexcept {
-  ReliabilityLedger l;
-  l.issued = issued_;
-  l.ok = static_cast<std::int64_t>(latencies_.size());
-  l.faults = faults_;
-  l.rtt_samples = rtt_samples_;
-  l.hedges_launched = hedges_launched_;
-  l.hedge_won = hedge_won_;
-  l.hedge_cancelled = hedge_cancelled_;
-  l.busy_received = busy_received_;
-  return l;
-}
-
 std::optional<core::Pid> Client::entry_at(core::Pid target,
                                           std::uint32_t attempt) const {
   const util::StatusWord& status = home_->status();
@@ -122,7 +109,7 @@ void Client::get(core::FileId file, core::Pid r, GetCallback done) {
   pending.issued_at = network_->engine().now();
   gets_.insert(id, std::move(pending));
   ++issued_;
-  LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->gets_issued->inc());
+  if (metrics_ != nullptr) metrics_->gets_issued->inc();
   send_get(id);
   // send_get may have completed the request synchronously (colocated
   // serve, or identifier exhaustion) — only a still-pending one hedges.
@@ -201,13 +188,13 @@ void Client::handle_get_timeout(std::uint64_t id, int generation) {
   if (found == nullptr) return;  // already completed
   PendingGet& g = *found;
   if (g.generation != generation) return;  // a newer leg is in flight
-  LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->get_timeouts->inc());
+  if (metrics_ != nullptr) metrics_->get_timeouts->inc();
   if (g.retries >= cfg_.max_retries) {
     finish_get(id, found, false, 0, 0, /*via_hedge=*/false);
     return;
   }
   ++g.retries;
-  LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->get_retries->inc());
+  if (metrics_ != nullptr) metrics_->get_retries->inc();
   send_get(id);
 }
 
@@ -215,7 +202,7 @@ void Client::migrate_get(std::uint64_t id, PendingGet* found, int hops,
                          double delay, bool reset_retries) {
   PendingGet& g = *found;
   ++g.migrations;
-  LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->get_migrations->inc());
+  if (metrics_ != nullptr) metrics_->get_migrations->inc();
   ++g.subtree_attempt;
   if (g.hedged && !g.hedge_resolved && g.subtree_attempt == g.hedge_attempt) {
     // The hedge leg is already in flight down the target subtree: adopt
@@ -230,7 +217,7 @@ void Client::migrate_get(std::uint64_t id, PendingGet* found, int hops,
     // The hedge already answered for that subtree (miss or shed): the
     // migration it would have cost is skipped outright.
     ++g.migrations;
-    LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->get_migrations->inc());
+    if (metrics_ != nullptr) metrics_->get_migrations->inc();
     ++g.subtree_attempt;
   }
   const core::LookupTree tree(home_->status().width(), g.target);
@@ -296,8 +283,7 @@ void Client::launch_hedge(std::uint64_t id, PendingGet& g) {
   g.hedge_attempt = alt;
   g.hedge_id = hedge_id;
   reliability_->hedge_ids.insert(hedge_id, id);
-  ++hedges_launched_;
-  LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->hedges->inc());
+  if (metrics_ != nullptr) metrics_->hedges->inc();
   Message m;
   m.request_id = hedge_id;
   m.type = MsgType::kGetRequest;
@@ -347,21 +333,16 @@ void Client::finish_get(std::uint64_t id, PendingGet* found, bool ok,
     // exhaustion included) and the hedge is cancelled. Late replies to
     // the retired correlation id fall through on_reply's guards.
     if (via_hedge) {
-      ++hedge_won_;
-      LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->hedge_wins->inc());
+      if (metrics_ != nullptr) metrics_->hedge_wins->inc();
     } else {
-      ++hedge_cancelled_;
-      LESSLOG_METRICS(
-          if (metrics_ != nullptr) metrics_->hedge_cancels->inc());
+      if (metrics_ != nullptr) metrics_->hedge_cancels->inc();
     }
     // No-op if the hedge already resolved.
     reliability_->hedge_ids.erase(g.hedge_id);
   }
   if (ok) {
     latencies_.push_back(result.latency);
-    LESSLOG_METRICS(if (metrics_ != nullptr) {
-      metrics_->get_latency->add(result.latency);
-    });
+    if (metrics_ != nullptr) metrics_->get_latency->add(result.latency);
     // Karn's rule, conservatively: only a request served on its very
     // first transmission — no retry, no migration, no hedge — yields an
     // unambiguous round-trip sample. Zero-latency colocated serves never
@@ -369,13 +350,11 @@ void Client::finish_get(std::uint64_t id, PendingGet* found, bool ok,
     if (reliability_ != nullptr && g.transmissions == 1 && !g.hedged &&
         result.latency > 0.0) {
       reliability_->estimator.add_sample(result.latency);
-      ++rtt_samples_;
-      LESSLOG_METRICS(
-          if (metrics_ != nullptr) metrics_->rtt_samples->inc());
+      if (metrics_ != nullptr) metrics_->rtt_samples->inc();
     }
   } else {
     ++faults_;
-    LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->get_faults->inc());
+    if (metrics_ != nullptr) metrics_->get_faults->inc();
   }
   if (g.done) g.done(result);
 }
@@ -409,8 +388,7 @@ void Client::on_reply(const Message& m) {
   }
   PendingGet& g = *found;
   if (m.type == MsgType::kBusy) {
-    ++busy_received_;
-    LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->busy_received->inc());
+    if (metrics_ != nullptr) metrics_->busy_received->inc();
     if (hedge_leg && g.subtree_attempt != g.hedge_attempt) {
       // The shed hedge leg is abandoned; the primary leg keeps going.
       g.hedge_resolved = true;

@@ -152,14 +152,14 @@ void Network::send(const Message& m) {
   DeliveryEvent ev{this, {}};
   encode_into(m, ev.wire);
   bytes_sent_ += static_cast<std::int64_t>(kWireSize);
-  LESSLOG_METRICS(if (metrics_ != nullptr) {
+  if (metrics_ != nullptr) {
     metrics_->out_for(m.type).inc();
     metrics_->bytes_out->add(kWireSize);
-  });
+  }
   if (cfg_.drop_probability > 0.0 &&
       engine_->rng().bernoulli(cfg_.drop_probability)) {
     ++dropped_;
-    LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->dropped->inc());
+    if (metrics_ != nullptr) metrics_->dropped->inc();
     return;
   }
   const double latency =
@@ -171,12 +171,10 @@ void Network::send(const Message& m) {
       // Shard-boundary accounting only when a hook is installed (S > 1),
       // so serial and single-shard snapshots stay byte-identical.
       if (forward_(m.to, engine_->now() + latency, ev.wire)) {
-        LESSLOG_METRICS(
-            if (metrics_ != nullptr) metrics_->cross_shard_msgs->inc());
+        if (metrics_ != nullptr) metrics_->cross_shard_msgs->inc();
         return;  // crossed a shard boundary; delivered at the next barrier
       }
-      LESSLOG_METRICS(
-          if (metrics_ != nullptr) metrics_->intra_shard_msgs->inc());
+      if (metrics_ != nullptr) metrics_->intra_shard_msgs->inc();
     }
     if (cfg_.jitter == 0.0 && coords_.empty() && cfg_.link_stagger == 0.0) {
       // Deterministic flat-latency link: every delivery shares the one
@@ -213,32 +211,24 @@ void Network::send_faulty(const Message& m, DeliveryEvent& ev,
   // each terminate the same way. That exhaustiveness is what makes the
   // auditor's counter-reconciliation invariant hold at quiescence.
   if (injector_->partition_blocks(m.from, m.to)) {
-    LESSLOG_METRICS(if (metrics_ != nullptr) {
-      metrics_->injected_partition_drops->inc();
-    });
+    if (metrics_ != nullptr) metrics_->injected_partition_drops->inc();
     return;
   }
   const int copies = injector_->duplicate() ? 2 : 1;
-  LESSLOG_METRICS(if (copies > 1 && metrics_ != nullptr) {
-    metrics_->injected_duplicates->inc();
-  });
+  if (copies > 1 && metrics_ != nullptr) metrics_->injected_duplicates->inc();
   for (int c = 0; c < copies; ++c) {
     if (injector_->burst_drop(m.from, m.to)) {
-      LESSLOG_METRICS(if (metrics_ != nullptr) {
-        metrics_->injected_burst_drops->inc();
-      });
+      if (metrics_ != nullptr) metrics_->injected_burst_drops->inc();
       continue;
     }
     DeliveryEvent copy = ev;
     if (injector_->corrupt(copy.wire)) {
-      LESSLOG_METRICS(if (metrics_ != nullptr) {
-        metrics_->injected_corruptions->inc();
-      });
+      if (metrics_ != nullptr) metrics_->injected_corruptions->inc();
     }
     const double spike = injector_->delay_spike();
-    LESSLOG_METRICS(if (spike > 0.0 && metrics_ != nullptr) {
+    if (spike > 0.0 && metrics_ != nullptr) {
       metrics_->injected_delay_spikes->inc();
-    });
+    }
     // The first copy reuses send()'s latency draw (so an empty plan's
     // timing would be unchanged); a duplicate gets its own jitter from
     // the injector's stream to land at a distinct time.
@@ -249,12 +239,10 @@ void Network::send_faulty(const Message& m, DeliveryEvent& ev,
         (c == 0 ? latency : base + injector_->jitter(cfg_.jitter)) + spike;
     if (forward_ != nullptr) {
       if (forward_(m.to, engine_->now() + copy_latency, copy.wire)) {
-        LESSLOG_METRICS(
-            if (metrics_ != nullptr) metrics_->cross_shard_msgs->inc());
+        if (metrics_ != nullptr) metrics_->cross_shard_msgs->inc();
         continue;
       }
-      LESSLOG_METRICS(
-          if (metrics_ != nullptr) metrics_->intra_shard_msgs->inc());
+      if (metrics_ != nullptr) metrics_->intra_shard_msgs->inc();
     }
     engine_->after(copy_latency, std::move(copy));
   }
@@ -287,17 +275,17 @@ void Network::deliver(const WireBuffer& wire) {
     // dropped — the receiver never sees it (the client's timeout/retry
     // machinery recovers, same as a loss).
     ++corrupted_;
-    LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->corrupted->inc());
+    if (metrics_ != nullptr) metrics_->corrupted->inc();
     return;
   }
   const std::uint32_t to = delivered->to.value();
   if (to >= handlers_.size() || handlers_[to].fn == nullptr) {
     ++undeliverable_;
-    LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->undeliverable->inc());
+    if (metrics_ != nullptr) metrics_->undeliverable->inc();
     return;
   }
   ++delivered_;
-  LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->delivered->inc());
+  if (metrics_ != nullptr) metrics_->delivered->inc();
   // Sinks observe the datagram at delivery time, before the handler — so
   // a trace's record order matches the order handlers fired in.
   for (obs::DeliverySink* sink : sinks_) {

@@ -76,8 +76,7 @@ void Peer::rejoin(util::CowStatus fresh_status) {
   cold_.reset();  // stale push timers find nothing: no-ops
   served_ = 0;
   forwarded_ = 0;
-  // A rejoined node starts with a full service budget; busy_shed_ is a
-  // ledger cell and survives the rejoin.
+  // A rejoined node starts with a full service budget.
   busy_tokens_ = static_cast<double>(cfg_.busy_budget);
   busy_last_refill_ = network_->engine().now();
   attach();
@@ -170,14 +169,13 @@ void Peer::on_get(const Message& m) {
   if (cfg_.busy_budget > 0 && !admit_get()) {
     // Over the service budget: refuse loudly instead of queueing into a
     // requester-side timeout. The requester migrates with backoff.
-    ++busy_shed_;
-    LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->busy_shed->inc());
+    if (metrics_ != nullptr) metrics_->busy_shed->inc();
     reply_busy(m);
     return;
   }
   if (const std::optional<std::uint64_t> version = store_.serve(m.file)) {
     ++served_;
-    LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->served->inc());
+    if (metrics_ != nullptr) metrics_->served->inc();
     reply_get(m, /*ok=*/true, *version);
     return;
   }
@@ -194,7 +192,7 @@ void Peer::on_get(const Message& m) {
     return;
   }
   ++forwarded_;
-  LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->forwarded->inc());
+  if (metrics_ != nullptr) metrics_->forwarded->inc();
   Message fwd = m;
   fwd.from = pid_;
   fwd.to = *next;
@@ -377,7 +375,7 @@ void Peer::push_file(core::FileId f, std::uint64_t version, core::Pid to) {
   push.ok = true;
   // Every kFilePush is membership repair traffic (reclaim, graceful
   // leave, crash recovery) — the chaos bench reports this as repair cost.
-  LESSLOG_METRICS(if (metrics_ != nullptr) metrics_->repair_pushes->inc());
+  if (metrics_ != nullptr) metrics_->repair_pushes->inc();
   cold().pending_pushes.insert(push.request_id, PendingPush{push, 0, 0});
   transmit_push(push.request_id);
 }
@@ -399,8 +397,7 @@ void Peer::transmit_push(std::uint64_t id) {
       return;
     }
     ++entry->retries;
-    LESSLOG_METRICS(
-        if (metrics_ != nullptr) metrics_->push_retries->inc());
+    if (metrics_ != nullptr) metrics_->push_retries->inc();
     transmit_push(id);
   };
   if (cfg_.push_backoff_base <= 1.0) {

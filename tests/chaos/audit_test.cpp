@@ -116,15 +116,11 @@ TEST(Audit, SilentCrashIsCaught) {
 TEST(Audit, RepairTrafficIsAccounted) {
   ChaosConfig cfg = quick_config(4);
   Report report = Driver(cfg).run();
-#if LESSLOG_METRICS_ENABLED
   // Membership ops ran, so files moved: joins reclaim, leavers push,
   // survivors re-insert after crashes.
   if (!report.record.ops.empty()) {
     EXPECT_GT(report.repair_pushes, 0);
   }
-#else
-  EXPECT_EQ(report.repair_pushes, 0);
-#endif
 }
 
 }  // namespace
