@@ -75,13 +75,12 @@ chaos::ChaosConfig membership_config(bool quick, const Plan& plan,
   cfg.net_jitter = 0.0;
   cfg.swim = true;
   cfg.shards = shards;
-  // Both plans keep crashes (the detection-latency signal); everything
-  // else off except the plan's own fault class.
+  // Crashes always fire (the detection-latency signal); every other
+  // fault class is off except the plan's own.
   cfg.bursts = plan.bursts;
   cfg.corruption = false;
   cfg.duplicates = false;
   cfg.delay_spikes = false;
-  cfg.crashes = true;
   cfg.churn = plan.churn;
   cfg.partitions = plan.partitions;
   return cfg;

@@ -64,7 +64,6 @@ proto::ShardedSwarm::Config map_config(int m, std::size_t shards,
   proto::Geography geo;
   geo.seed = 42;
   geo.clusters = static_cast<std::uint32_t>(shards);
-  geo.cluster_radius = 0.04;
   cfg.geo = geo;
   // Geographic links stretch the longest path; keep it under the client
   // timeout so the workload still sees zero retries.

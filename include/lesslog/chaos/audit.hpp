@@ -46,7 +46,6 @@ struct Violation {
 struct SwimEpochStats {
   bool converged = true;   ///< every live agent's belief == ground truth
   int rounds = 0;          ///< extra protocol periods the epoch needed
-  int round_cap = 0;       ///< the configured convergence cap
   /// No fault rules installed and no membership op executed this epoch —
   /// the wire was clean, so any suspicion at all is a detector bug.
   bool clean_epoch = false;

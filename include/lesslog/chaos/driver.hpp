@@ -79,7 +79,8 @@ class Driver {
   void issue_get();
   [[nodiscard]] std::int64_t completed() const;
   [[nodiscard]] std::int64_t faults() const;
-  void bank_injected();
+  /// Injected-fault totals over the run so far, from every shard's
+  /// cumulative fault.* cells.
   [[nodiscard]] proto::FaultStats total_injected() const;
 
   /// Workload completion tallies: cell s is written only by shard s's
@@ -108,7 +109,6 @@ class Driver {
   std::vector<ShardTally> tally_;
   std::vector<std::uint64_t> keys_;
   ChaosRecord record_;
-  proto::FaultStats prior_injected_;  ///< plans superseded by a reinstall
   std::int64_t issued_ = 0;
   std::uint32_t min_live_;  ///< membership ops keep this many peers up
   bool ran_ = false;

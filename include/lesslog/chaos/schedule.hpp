@@ -16,6 +16,15 @@
 
 namespace lesslog::chaos {
 
+/// SWIM mode's post-epoch period cap. Healing a partition's false
+/// confirms needs roughly two dead-reclaim rotation sweeps of the ID
+/// space (the second clears re-poisoning by stale dead gossip still in
+/// flight after the first direct contact); compound-fault epochs have
+/// been observed needing ~74 periods at the default geometry, so 128
+/// leaves headroom.
+inline constexpr int kSwimConvergenceRounds = 128;
+static_assert(kSwimConvergenceRounds >= 1);
+
 /// Everything a chaos run needs; validate() rejects nonsense. The swarm
 /// under test keeps NetworkConfig::drop_probability at zero — loss is
 /// expressed through windowed burst rules instead, so the post-heal
@@ -39,13 +48,12 @@ struct ChaosConfig {
   std::size_t shards = 1;
 
   // Fault-class toggles (the intensity sweep flips these off to isolate
-  // classes).
+  // classes). Crash -> restart pairs are always on.
   bool bursts = true;
   bool partitions = true;
   bool corruption = true;
   bool duplicates = true;
   bool delay_spikes = true;
-  bool crashes = true;  ///< crash -> restart pairs
   bool churn = true;    ///< graceful depart / fresh join
 
   /// TEST-ONLY broken-recovery mode: crashes become silent (no failure
@@ -53,23 +61,13 @@ struct ChaosConfig {
   /// Section 5 membership contract so the auditor has something to catch.
   bool silent_crashes = false;
 
-  /// SWIM membership mode (the membership library): crashes go
-  /// unannounced and the per-epoch ground-truth reannounce is replaced by
-  /// the failure detector's own convergence — after each epoch settles,
-  /// the driver runs extra protocol periods until every live agent's
-  /// belief matches ground truth (capped by swim_convergence_rounds).
+  /// SWIM membership mode (the membership library, at its protocol
+  /// constants): crashes go unannounced and the per-epoch ground-truth
+  /// reannounce is replaced by the failure detector's own convergence —
+  /// after each epoch settles, the driver runs extra protocol periods
+  /// until every live agent's belief matches ground truth (capped by
+  /// kSwimConvergenceRounds).
   bool swim = false;
-  double swim_period = 1.0;          ///< protocol period T (sim seconds)
-  double swim_direct_timeout = 0.25; ///< direct-ack wait before proxies
-  int swim_proxies = 3;              ///< k indirect probes per missed ack
-  int swim_suspect_periods = 3;      ///< suspect -> confirmed dead
-  int swim_gossip_repeats = 4;       ///< piggyback retransmissions
-  /// Post-epoch period cap. Healing a partition's false confirms needs
-  /// roughly two dead-reclaim rotation sweeps of the ID space (the second
-  /// clears re-poisoning by stale dead gossip still in flight after the
-  /// first direct contact); compound-fault epochs have been observed
-  /// needing ~74 periods at the default geometry, so 128 leaves headroom.
-  int swim_convergence_rounds = 128;
 
   /// Per-hop uniform latency jitter passed to the swarm's network. The
   /// default matches NetworkConfig's, keeping oracle runs byte-identical;

@@ -7,13 +7,14 @@
 // real detector in the SWIM family (Das, Gupta, Motivala, DSN'02; the
 // cs425_mp3 heartbeat/suspect lists are the direct exemplar):
 //
-//   * every protocol period T, each live agent pings one uniformly random
-//     member it believes alive;
-//   * a missing direct ack within `direct_timeout` triggers an indirect
-//     probe through k proxies (kPingReq; the proxy relays a kPing with
-//     the origin in `requester`, and the target acks the origin);
+//   * every protocol period T (`kProtocolPeriod`), each live agent pings
+//     one uniformly random member it believes alive;
+//   * a missing direct ack within `kDirectTimeout` triggers an indirect
+//     probe through k = `kProxies` proxies (kPingReq; the proxy relays a
+//     kPing with the origin in `requester`, and the target acks the
+//     origin);
 //   * a probe that ends the period unanswered makes the target *suspect*;
-//     a suspect not refuted within `suspect_periods` periods is confirmed
+//     a suspect not refuted within `kSuspectPeriods` periods is confirmed
 //     dead — only then does the agent's local belief flip and Section 5.3
 //     crash recovery run (through proto::Peer::learn_dead, the same entry
 //     point the announcement path uses);
@@ -57,23 +58,15 @@
 
 namespace lesslog::membership {
 
-struct SwimConfig {
-  double period = 1.0;          ///< protocol period T (simulated seconds)
-  double direct_timeout = 0.25; ///< direct-ack wait before the k-proxy round
-  int proxies = 3;              ///< k indirect probes per unanswered ping
-  int suspect_periods = 3;      ///< periods before suspect -> confirmed dead
-  int gossip_repeats = 4;       ///< piggyback retransmissions per update
-  /// Every this-many periods, additionally ping one believed-dead member
-  /// in deterministic rotation (Serf-style dead-node reclaim). Without it
-  /// a fully partitioned fleet never heals: once both sides confirm each
-  /// other dead, the normal probe cycle (which only targets
-  /// believed-alive members) sends nothing across the healed link, so no
-  /// direct evidence can ever refute the false confirms. One reclaim ping
-  /// per period bounds the re-merge at |believed dead| periods — the
-  /// rotation walks the whole ID space, and unoccupied IDs count.
-  int dead_probe_periods = 1;
-  std::uint64_t seed = 1;       ///< base of the per-agent (seed, pid) streams
-};
+// Protocol constants. Every agent runs with these; only the seed of the
+// per-agent (seed, pid) streams varies between runs.
+inline constexpr double kProtocolPeriod = 1.0;  ///< T (simulated seconds)
+inline constexpr double kDirectTimeout = 0.25;  ///< direct-ack wait
+inline constexpr int kProxies = 3;         ///< k indirect probes per miss
+inline constexpr int kSuspectPeriods = 3;  ///< suspect -> confirmed dead
+inline constexpr int kGossipRepeats = 4;   ///< piggybacks per update
+static_assert(kDirectTimeout > 0.0 && kDirectTimeout < kProtocolPeriod);
+static_assert(kProxies >= 0 && kSuspectPeriods >= 1 && kGossipRepeats >= 1);
 
 /// The SWIM-driven liveness belief a Peer routes by. Mechanically a
 /// copy-on-write bitmap like util::OracleView; the difference is who
@@ -291,13 +284,14 @@ class SwimAgent {
 /// obs counters carry the same events into metric snapshots.
 class SwimRuntime final : public obs::DeliverySink {
  public:
-  SwimRuntime(SwimConfig cfg, int m);
+  /// `seed` is the base of every agent's (seed, pid) stream.
+  SwimRuntime(std::uint64_t seed, int m);
   ~SwimRuntime() override;
 
   SwimRuntime(const SwimRuntime&) = delete;
   SwimRuntime& operator=(const SwimRuntime&) = delete;
 
-  [[nodiscard]] const SwimConfig& config() const noexcept { return cfg_; }
+  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   [[nodiscard]] double horizon() const noexcept { return horizon_; }
 
   /// Creates (or re-seeds) the agent colocated with `peer`, installs its
@@ -350,7 +344,7 @@ class SwimRuntime final : public obs::DeliverySink {
     return word == nullptr || word->is_live(pid);
   }
 
-  SwimConfig cfg_;
+  std::uint64_t seed_;
   int m_;
   double horizon_ = 0.0;
   std::vector<std::unique_ptr<SwimAgent>> agents_;

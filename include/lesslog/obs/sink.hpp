@@ -8,9 +8,10 @@
 // point is the network's single delivery funnel, not per-peer handler
 // wrappers, so there is nothing to re-arm.
 //
-// Implementations in-tree: proto::Trace (record + query), MetricsSink
-// (count by type into a registry), JsonlSink (stream one JSON object per
-// event).
+// Implementations in-tree: proto::Trace (record + query), JsonlSink
+// (stream one JSON object per event), membership::SwimRuntime (membership
+// events only). Per-type delivery counts need no sink: the network bumps
+// its msgs_in cells itself.
 #pragma once
 
 #include <iosfwd>
@@ -32,18 +33,6 @@ class DeliverySink {
   /// Membership notification from the swarm: `peer` joined (live) or
   /// left / crashed (!live). Default: ignore.
   virtual void on_peer(double time, core::Pid peer, bool live);
-};
-
-/// The metrics recorder: counts delivered datagrams by type into a
-/// registry's pre-resolved WireMetrics cells.
-class MetricsSink final : public DeliverySink {
- public:
-  explicit MetricsSink(const WireMetrics& metrics) : metrics_(&metrics) {}
-
-  void on_deliver(double time, const proto::Message& m) override;
-
- private:
-  const WireMetrics* metrics_;
 };
 
 /// Streaming exporter: one JSON object per observed event, written as it

@@ -41,19 +41,16 @@ struct ClientConfig {
 
   // --- Adaptive reliability layer. Every default below keeps the client
   // byte-identical to the fixed-timer client: no adaptive timers, no
-  // hedging, no suspicion routing, zero extra RNG draws.
+  // hedging, no suspicion routing, zero extra RNG draws. The layer's
+  // clamps, backoff and jitter are constants in client.cpp.
   bool adaptive = false;  ///< SRTT/RTTVAR retry timers + backoff/jitter
-  double rto_floor = 0.03;  ///< lower clamp on any adaptive delay (s)
-  double rto_cap = 2.0;     ///< upper clamp; also the backoff ceiling (s)
-  double backoff_base = 2.0;   ///< per-retry delay multiplier (>= 1)
-  double retry_jitter = 0.1;   ///< +/- fraction on retry delays, in [0, 1)
   double hedge_percentile = 0.0;  ///< 0 = no hedging; else in [0.5, 1)
-  double busy_backoff = 0.05;  ///< base migrate delay after a BUSY shed (s)
   bool suspicion_routing = false;  ///< skip suspected-dead entry targets
   std::uint64_t seed = 0;  ///< salts the deterministic retry jitter hash
 
   /// Throws std::invalid_argument on nonsense (timeout not strictly
-  /// positive, negative max_retries, malformed adaptive-layer knobs).
+  /// positive, negative max_retries, a hedge percentile outside its
+  /// range).
   /// Called by the Client constructor.
   void validate() const;
 };
@@ -200,7 +197,7 @@ class Client {
 
   /// State that only adaptive timers and hedging read. Both default off,
   /// so it lives out of line: the constructor allocates it iff
-  /// reliability_active(), and a default client (296 B inline) carries
+  /// reliability_active(), and a default client (216 B inline) carries
   /// one null pointer instead of these 600 bytes (the estimator's
   /// 64-sample ring is 512).
   struct Reliability {

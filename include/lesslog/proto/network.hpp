@@ -50,8 +50,8 @@ struct NetworkConfig {
 /// With clusters == 0 (the default) every slot draws an independent
 /// uniform position — the original model, bit-identical draws. With
 /// clusters == k > 0 the ID space splits into k PID-contiguous blocks;
-/// block i's nodes land in a square blob of half-width cluster_radius
-/// around center i, and the k centers sit evenly spaced on a circle of
+/// block i's nodes land in a square blob of half-width 0.04 around
+/// center i, and the k centers sit evenly spaced on a circle of
 /// radius 0.35 about (0.5, 0.5) — deterministically separated, so a
 /// range-sharded swarm whose shards align with the blocks gets a
 /// strictly positive pairwise distance floor (the adaptive lookahead's
@@ -61,7 +61,6 @@ struct Geography {
   std::uint64_t seed = 1;           ///< placement seed
   double latency_per_unit = 0.060;  ///< seconds across one unit of distance
   std::uint32_t clusters = 0;       ///< 0 = uniform; k = PID-block blobs
-  double cluster_radius = 0.05;     ///< blob half-width (clusters > 0)
 };
 
 /// The coordinate table a Network with this Geography uses — exposed so
@@ -157,7 +156,8 @@ class Network {
   void notify_peer_event(double time, core::Pid peer, bool live);
 
   /// Points the send/deliver accounting at pre-resolved metric cells
-  /// (nullptr detaches).
+  /// (nullptr detaches). A delivery bumps `delivered` and its type's
+  /// msgs_in cell before any sink sees it.
   void set_metrics(const obs::WireMetrics* metrics) noexcept {
     metrics_ = metrics;
   }

@@ -36,16 +36,6 @@
 namespace lesslog::proto {
 
 struct PeerConfig {
-  // --- Reliable-push retransmit policy (Section 5 data motion). The
-  // defaults reproduce the historical fixed-timer constants byte for
-  // byte; push_backoff_base > 1 switches the retransmit timer to capped
-  // exponential backoff under the same policy the client's adaptive
-  // retries use.
-  double push_timeout = 0.3;  ///< seconds before a push retransmit
-  int push_max_retries = 5;   ///< retransmissions before dropping
-  double push_backoff_base = 1.0;  ///< 1 = fixed timer (lane fast path)
-  double push_backoff_cap = 2.0;   ///< upper clamp on a backed-off delay
-
   // --- Service budget (graceful degradation). A peer over budget
   // refuses further GET work with a kBusy reply instead of silently
   // queueing into a timeout; requesters migrate with backoff. The budget
@@ -54,8 +44,9 @@ struct PeerConfig {
   int busy_budget = 0;       ///< bucket capacity in GETs (serve or forward)
   double busy_refill = 0.0;  ///< tokens restored per simulated second
 
-  /// Throws std::invalid_argument on nonsense (non-positive timers, a
-  /// budget that can never refill). Called by the Peer constructor.
+  /// Throws std::invalid_argument on nonsense (a negative budget or
+  /// refill, a budget that can never refill). Called by the Peer
+  /// constructor.
   void validate() const;
 };
 
@@ -199,8 +190,8 @@ class Peer {
   void recover_after_crash(core::Pid crashed,
                            const util::StatusWord& before);
   /// Reliable file transfer: pushes are acked (kFilePushAck) and
-  /// retransmitted on timeout — a lost datagram must not lose a file's
-  /// only authoritative copy during membership data motion.
+  /// retransmitted on a fixed timer — a lost datagram must not lose a
+  /// file's only authoritative copy during membership data motion.
   void push_file(core::FileId f, std::uint64_t version, core::Pid to);
   void transmit_push(std::uint64_t id);
   void reply_get(const Message& request, bool ok, std::uint64_t version);
@@ -217,7 +208,7 @@ class Peer {
   /// Shed and push bookkeeping (104 B plus the map's nodes), out of
   /// line: only the replication controller (shed_hottest) and membership
   /// data motion (push_file) touch it, so a peer of a read-only swarm
-  /// never allocates it and stays 296 B inline. Created by cold() on the
+  /// never allocates it and stays 256 B inline. Created by cold() on the
   /// first shed decision or push; rejoin() drops it.
   struct Cold {
     /// Replica placements this peer has made, per file. A peer cannot

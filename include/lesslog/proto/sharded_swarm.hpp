@@ -13,8 +13,8 @@
 // Peers are partitioned across S shards (Config::shards, default 1) by a
 // ShardMap policy (contiguous PID ranges, or the XOR-subtree locality map
 // — see shard_map.hpp). Each shard owns a full vertical slice: its own
-// sim::Engine (independent RNG stream), Network, obs::Registry with the
-// standard WireMetrics catalog, and MetricsSink. Intra-shard traffic
+// sim::Engine (independent RNG stream), Network, and obs::Registry with
+// the standard WireMetrics catalog. Intra-shard traffic
 // takes the plain Network path; a datagram whose destination lives on
 // another shard is intercepted by the network's forward hook *after* the
 // sender's latency/fault pipeline ran, mailboxed in the ShardRouter, and
@@ -311,9 +311,8 @@ class ShardedSwarm {
     Network network;
     obs::Registry registry;
     obs::WireMetrics metrics;
-    obs::MetricsSink sink;
     Shard(sim::Engine& engine, const NetworkConfig& net)
-        : network(engine, net), metrics(registry), sink(metrics) {}
+        : network(engine, net), metrics(registry) {}
   };
 
   /// Everything the constructor derives before engines exist: the map,

@@ -26,8 +26,6 @@ struct CatalogConfig {
   double total_rate = 10000.0;
   double capacity = 100.0;
   WorkloadKind workload = WorkloadKind::kUniform;
-  double hot_node_fraction = 0.2;
-  double hot_request_fraction = 0.8;
   std::uint64_t seed = 42;
   int max_replicas = 1 << 20;
 };

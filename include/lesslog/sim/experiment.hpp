@@ -61,9 +61,8 @@ struct ExperimentConfig {
   double dead_fraction = 0.0;    ///< Figures 6/8: 0.1, 0.2, 0.3
   double total_rate = 10000.0;   ///< swept 1,000 .. 20,000 requests/s
   double capacity = 100.0;       ///< paper: 100 requests/s per node
+  /// kLocality is the paper's 80/20 model (locality_workload's defaults).
   WorkloadKind workload = WorkloadKind::kUniform;
-  double hot_node_fraction = 0.2;     ///< locality model knobs
-  double hot_request_fraction = 0.8;
   std::uint64_t seed = 42;
   /// Safety valve; the loop aborts after this many replicas.
   int max_replicas = 1 << 20;

@@ -1,5 +1,6 @@
 #include "lesslog/chaos/audit.hpp"
 
+#include "lesslog/chaos/schedule.hpp"
 #include "lesslog/util/bits.hpp"
 #include "lesslog/util/hashing.hpp"
 
@@ -143,7 +144,7 @@ void Audit::check_swim(const SwimEpochStats& stats, int epoch,
     violate(out, epoch, "detection_convergence",
             "detector beliefs still diverge from ground truth after " +
                 std::to_string(stats.rounds) + "/" +
-                std::to_string(stats.round_cap) + " extra periods");
+                std::to_string(kSwimConvergenceRounds) + " extra periods");
   }
   // 7. Clean-wire suspicion: with no fault windows and no membership ops
   // this epoch, every probe must have been answered in time.

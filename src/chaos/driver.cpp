@@ -48,14 +48,7 @@ Driver::Driver(ChaosConfig cfg)
 Driver::~Driver() = default;
 
 void Driver::swim_setup() {
-  membership::SwimConfig mc;
-  mc.period = cfg_.swim_period;
-  mc.direct_timeout = cfg_.swim_direct_timeout;
-  mc.proxies = cfg_.swim_proxies;
-  mc.suspect_periods = cfg_.swim_suspect_periods;
-  mc.gossip_repeats = cfg_.swim_gossip_repeats;
-  mc.seed = cfg_.seed;
-  swim_ = std::make_unique<membership::SwimRuntime>(mc, cfg_.m);
+  swim_ = std::make_unique<membership::SwimRuntime>(cfg_.seed, cfg_.m);
   swarm_->add_sink(*swim_);
   swim_->set_truth_provider([this] { return &swarm_->status(); });
   for (std::uint32_t p = 0; p < util::space_size(cfg_.m); ++p) {
@@ -69,10 +62,6 @@ void Driver::swim_drain_confirms() {
   // sim-time minimum is what makes the curves shard-count invariant: a
   // "first callback wins" hook would record thread arrival order.
   for (const membership::ConfirmEvent& ev : swim_->drain_confirms()) {
-#ifdef LESSLOG_SWIM_DEBUG
-    std::fprintf(stderr, "DBG confirm t=%.9f subj=%u by=%u false=%d\n",
-                 ev.time, ev.subject, ev.by, (int)ev.false_confirm);
-#endif
     if (ev.false_confirm) continue;
     const auto it = swim_crash_time_.find(ev.subject);
     if (it == swim_crash_time_.end()) continue;
@@ -173,32 +162,20 @@ std::int64_t Driver::faults() const {
   return sum;
 }
 
-void Driver::bank_injected() {
-  for (std::size_t s = 0; s < cfg_.shards; ++s) {
-    if (const proto::FaultInjector* old =
-            swarm_->network(s).fault_injector()) {
-      const proto::FaultStats& st = old->stats();
-      prior_injected_.burst_dropped += st.burst_dropped;
-      prior_injected_.partition_dropped += st.partition_dropped;
-      prior_injected_.duplicated += st.duplicated;
-      prior_injected_.corrupted += st.corrupted;
-      prior_injected_.delay_spikes += st.delay_spikes;
-    }
-  }
-}
-
 proto::FaultStats Driver::total_injected() const {
-  proto::FaultStats injected = prior_injected_;
+  // Each shard's fault.* cells count every injector outcome since the
+  // swarm was built, so they outlive the per-epoch plan reinstalls.
+  const auto count = [](const obs::Counter* c) {
+    return static_cast<std::int64_t>(c->value());
+  };
+  proto::FaultStats injected;
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
-    if (const proto::FaultInjector* inj =
-            swarm_->network(s).fault_injector()) {
-      const proto::FaultStats& st = inj->stats();
-      injected.burst_dropped += st.burst_dropped;
-      injected.partition_dropped += st.partition_dropped;
-      injected.duplicated += st.duplicated;
-      injected.corrupted += st.corrupted;
-      injected.delay_spikes += st.delay_spikes;
-    }
+    const obs::WireMetrics& m = swarm_->metrics(s);
+    injected.burst_dropped += count(m.injected_burst_drops);
+    injected.partition_dropped += count(m.injected_partition_drops);
+    injected.duplicated += count(m.injected_duplicates);
+    injected.corrupted += count(m.injected_corruptions);
+    injected.delay_spikes += count(m.injected_delay_spikes);
   }
   return injected;
 }
@@ -251,8 +228,7 @@ Report Driver::run() {
       // intervals and partition groups are PID sets, so each side of a
       // cross-shard edge applies the same rule. Each shard's injector
       // draws its own stream from the shared plan seed; the totals are
-      // banked before each reinstall and summed over shards.
-      bank_injected();
+      // summed from the shards' cumulative fault.* cells.
       for (std::size_t s = 0; s < cfg_.shards; ++s) {
         sw.network(s).install_fault_plan(plan);
       }
@@ -267,7 +243,7 @@ Report Driver::run() {
     for (int i = 0; i < op_count; ++i) {
       const double t = now + (0.10 + 0.60 * rng_.uniform01()) * L;
       const std::uint64_t pick = rng_.bounded(4);
-      if (pick <= 1 && cfg_.crashes) {
+      if (pick <= 1) {
         timeline.push({t, seq++, TimelineItem::Kind::kCrash, 0});
       } else if (pick == 2 && cfg_.churn) {
         timeline.push({t, seq++, TimelineItem::Kind::kDepart, 0});
@@ -368,45 +344,18 @@ Report Driver::run() {
       // Detection convergence replaces the oracle reannounce: extend the
       // detector's horizon one protocol period at a time until every live
       // agent's belief equals ground truth (suspects confirmed, false
-      // beliefs refuted), bounded by the configured round cap.
+      // beliefs refuted), bounded by the round cap.
       SwimEpochStats stats;
-      stats.round_cap = cfg_.swim_convergence_rounds;
       while (!swim_->converged(sw.status()) &&
-             stats.rounds < stats.round_cap) {
-        const double t = swarm_->quiesce_time() + cfg_.swim_period;
+             stats.rounds < kSwimConvergenceRounds) {
+        const double t =
+            swarm_->quiesce_time() + membership::kProtocolPeriod;
         swim_->arm(t);
         sw.run_until(t);
         sw.settle();
         ++stats.rounds;
       }
       stats.converged = swim_->converged(sw.status());
-#ifdef LESSLOG_SWIM_DEBUG
-      {
-        const membership::SwimRuntime::Tally d = swim_->tally();
-        std::fprintf(stderr,
-                     "DBG epoch=%d rounds=%d pings=%lld acks=%lld preq=%lld "
-                     "susp=%lld conf=%lld ref=%lld gb=%lld\n",
-                     epoch, stats.rounds, (long long)d.pings,
-                     (long long)d.acks, (long long)d.ping_reqs,
-                     (long long)d.suspects, (long long)d.confirms,
-                     (long long)d.refutations, (long long)d.gossip_bytes);
-      }
-      if (!stats.converged) {
-        const util::StatusWord& truth = sw.status();
-        for (std::uint32_t p = 0; p < util::space_size(cfg_.m); ++p) {
-          membership::SwimAgent* a = swim_->agent(core::Pid{p});
-          if (a == nullptr || !a->enabled()) continue;
-          const util::StatusWord& w = a->view().word();
-          for (std::uint32_t q = 0; q < util::space_size(cfg_.m); ++q) {
-            if (w.is_live(q) != truth.is_live(q)) {
-              std::fprintf(stderr, "DBG epoch=%d agent=%u bit=%u truth=%s\n",
-                           epoch, p, q,
-                           truth.is_live(q) ? "live" : "dead");
-            }
-          }
-        }
-      }
-#endif
       // Fold this epoch's confirms and close out detected crashes: once
       // the detector has converged, a crash's earliest confirm is final
       // (any later confirm of the same death has a later timestamp).

@@ -70,16 +70,9 @@ std::string artifact_to_json(const Report& report) {
      << ",\"corruption\":" << b(c.corruption)
      << ",\"duplicates\":" << b(c.duplicates)
      << ",\"delay_spikes\":" << b(c.delay_spikes)
-     << ",\"crashes\":" << b(c.crashes) << ",\"churn\":" << b(c.churn)
+     << ",\"churn\":" << b(c.churn)
      << ",\"silent_crashes\":" << b(c.silent_crashes)
-     << ",\"swim\":" << b(c.swim)
-     << ",\"swim_period\":" << num(c.swim_period)
-     << ",\"swim_direct_timeout\":" << num(c.swim_direct_timeout)
-     << ",\"swim_proxies\":" << c.swim_proxies
-     << ",\"swim_suspect_periods\":" << c.swim_suspect_periods
-     << ",\"swim_gossip_repeats\":" << c.swim_gossip_repeats
-     << ",\"swim_convergence_rounds\":" << c.swim_convergence_rounds
-     << ",\"net_jitter\":" << num(c.net_jitter)
+     << ",\"swim\":" << b(c.swim) << ",\"net_jitter\":" << num(c.net_jitter)
      << ",\"adaptive_timeouts\":" << b(c.adaptive_timeouts)
      << ",\"hedge_percentile\":" << num(c.hedge_percentile)
      << ",\"suspicion_routing\":" << b(c.suspicion_routing)
@@ -164,6 +157,23 @@ const util::minijson::Value& require(const util::minijson::Value& obj,
   return *v;
 }
 
+/// A key for a setting that is now a constant. Artifacts written while
+/// it was a config field carry it; it is accepted only at the constant's
+/// value, so an edited artifact cannot quietly replay a different run.
+[[noreturn]] void reject_fixed(const char* key, const std::string& value) {
+  throw std::invalid_argument(std::string("chaos artifact: '") + key +
+                              "' is fixed at " + value +
+                              "; no other value can be replayed");
+}
+
+void require_fixed(const util::minijson::Value& cfg, const char* key,
+                   double value) {
+  const util::minijson::Value* v = cfg.find(key);
+  if (v != nullptr && !(v->is_number() && v->number == value)) {
+    reject_fixed(key, num(value));
+  }
+}
+
 }  // namespace
 
 ChaosConfig config_from_artifact(const std::string& json) {
@@ -214,32 +224,25 @@ ChaosConfig config_from_artifact(const std::string& json) {
   out.corruption = require(cfg, "corruption").boolean;
   out.duplicates = require(cfg, "duplicates").boolean;
   out.delay_spikes = require(cfg, "delay_spikes").boolean;
-  out.crashes = require(cfg, "crashes").boolean;
   out.churn = require(cfg, "churn").boolean;
   out.silent_crashes = require(cfg, "silent_crashes").boolean;
   // SWIM keys are absent in pre-membership artifacts; those replay in
-  // oracle mode with the default tunables.
+  // oracle mode.
   if (const util::minijson::Value* v = cfg.find("swim")) {
     out.swim = v->boolean;
   }
-  if (const util::minijson::Value* v = cfg.find("swim_period")) {
-    out.swim_period = v->number;
+  // Settings that are constants: crashes are always on, and SWIM runs at
+  // its protocol constants.
+  if (const util::minijson::Value* v = cfg.find("crashes");
+      v != nullptr && !(v->is_bool() && v->boolean)) {
+    reject_fixed("crashes", "true");
   }
-  if (const util::minijson::Value* v = cfg.find("swim_direct_timeout")) {
-    out.swim_direct_timeout = v->number;
-  }
-  if (const util::minijson::Value* v = cfg.find("swim_proxies")) {
-    out.swim_proxies = static_cast<int>(v->number);
-  }
-  if (const util::minijson::Value* v = cfg.find("swim_suspect_periods")) {
-    out.swim_suspect_periods = static_cast<int>(v->number);
-  }
-  if (const util::minijson::Value* v = cfg.find("swim_gossip_repeats")) {
-    out.swim_gossip_repeats = static_cast<int>(v->number);
-  }
-  if (const util::minijson::Value* v = cfg.find("swim_convergence_rounds")) {
-    out.swim_convergence_rounds = static_cast<int>(v->number);
-  }
+  require_fixed(cfg, "swim_period", membership::kProtocolPeriod);
+  require_fixed(cfg, "swim_direct_timeout", membership::kDirectTimeout);
+  require_fixed(cfg, "swim_proxies", membership::kProxies);
+  require_fixed(cfg, "swim_suspect_periods", membership::kSuspectPeriods);
+  require_fixed(cfg, "swim_gossip_repeats", membership::kGossipRepeats);
+  require_fixed(cfg, "swim_convergence_rounds", kSwimConvergenceRounds);
   if (const util::minijson::Value* v = cfg.find("net_jitter")) {
     out.net_jitter = v->number;
   }

@@ -51,18 +51,6 @@ void ChaosConfig::validate() const {
         "ChaosConfig: swim and silent_crashes are exclusive (SWIM's whole "
         "point is detecting unannounced crashes)");
   }
-  if (std::isnan(swim_period) || swim_period <= 0.0) {
-    throw std::invalid_argument("ChaosConfig: swim_period must be positive");
-  }
-  if (std::isnan(swim_direct_timeout) || swim_direct_timeout <= 0.0 ||
-      swim_direct_timeout >= swim_period) {
-    throw std::invalid_argument(
-        "ChaosConfig: swim_direct_timeout must be in (0, swim_period)");
-  }
-  if (swim_proxies < 0 || swim_suspect_periods < 1 ||
-      swim_gossip_repeats < 1 || swim_convergence_rounds < 1) {
-    throw std::invalid_argument("ChaosConfig: bad SWIM tunables");
-  }
   if (std::isnan(net_jitter) || net_jitter < 0.0) {
     throw std::invalid_argument(
         "ChaosConfig: net_jitter must be non-negative");

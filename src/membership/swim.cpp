@@ -33,7 +33,7 @@ SwimAgent::SwimAgent(SwimRuntime& runtime, proto::Peer& peer,
       // Seed the belief from whatever the peer already believed (O(1)
       // aliasing snapshot) — attach must not teleport knowledge in.
       view_(peer.liveness().snapshot()),
-      rng_(runtime.config().seed ^
+      rng_(runtime.seed() ^
            ((peer.pid().value() + 1ULL) * kStreamMix)),
       // Stripe probe ids per agent so correlation ids never collide with
       // another agent's (same scheme as Peer's push ids).
@@ -75,7 +75,7 @@ void SwimAgent::disable() {
 
 void SwimAgent::start_ticking() {
   if (!enabled_ || ticking_) return;
-  const double period = runtime_->config().period;
+  const double period = kProtocolPeriod;
   const double phase = period * tick_phase(pid().value());
   // Absolute tick grid: this agent's k-th tick fires at k*period + phase,
   // a pure function of (pid, period). Anchoring each (re)start on the
@@ -124,26 +124,29 @@ void SwimAgent::tick() {
   //    pure function of the PIDs, not of heap addresses.
   for (auto& [p, mm] : members_) {
     if (mm.state == kSuspect &&
-        period_index_ - mm.suspect_period >=
-            runtime_->config().suspect_periods) {
+        period_index_ - mm.suspect_period >= kSuspectPeriods) {
       confirm(p, mm);
     }
   }
   // 3. Probe one uniformly random believed-alive member.
   probe();
-  // 3b. Dead-node reclaim: periodically ping a believed-dead member. A
-  //     genuinely dead target costs one undeliverable datagram; a falsely
-  //     confirmed one (partition casualty) answers, and the ack's direct
-  //     evidence resurrects it on our side while our ping resurrects us
-  //     on theirs — the only path that re-merges a healed split.
-  if (period_index_ % runtime_->config().dead_probe_periods == 0) {
-    probe_dead();
-  }
+  // 3b. Dead-node reclaim (Serf-style): every period, also ping one
+  //     believed-dead member in deterministic rotation. A genuinely dead
+  //     target costs one undeliverable datagram; a falsely confirmed one
+  //     (partition casualty) answers, and the ack's direct evidence
+  //     resurrects it on our side while our ping resurrects us on theirs.
+  //     Without it a fully partitioned fleet never heals: once both
+  //     sides confirm each other dead, the normal probe cycle (which only
+  //     targets believed-alive members) sends nothing across the healed
+  //     link. One reclaim ping per period bounds the re-merge at
+  //     |believed dead| periods — the rotation walks the whole ID space,
+  //     and unoccupied IDs count.
+  probe_dead();
   // 4. Bounded rescheduling on the absolute grid: past the armed horizon
   //    the agent goes quiet so settle() terminates. tick_k_ keeps pointing
   //    at the skipped slot, so the next arm() resumes the same grid
   //    without consulting the shard's (layout-dependent) idle clock.
-  const double period = runtime_->config().period;
+  const double period = kProtocolPeriod;
   const double phase = period * tick_phase(pid().value());
   ++tick_k_;
   const double t = static_cast<double>(tick_k_) * period + phase;
@@ -169,7 +172,7 @@ void SwimAgent::probe() {
   // k proxies. Fixed delay, generation-guarded against rejoin cycles.
   const std::uint64_t gen = generation_;
   const std::uint64_t id = outstanding_id_;
-  engine_->after_fixed(runtime_->config().direct_timeout, [this, gen, id] {
+  engine_->after_fixed(kDirectTimeout, [this, gen, id] {
     if (generation_ != gen || !enabled_) return;
     if (!outstanding_ || acked_ || outstanding_id_ != id) return;
     send_ping_reqs();
@@ -215,9 +218,8 @@ void SwimAgent::send_ping_reqs() {
   const core::Pid target{outstanding_target_};
   // Up to k distinct proxies, alive-believed, neither self nor target.
   std::vector<std::uint32_t> chosen;
-  const int want = runtime_->config().proxies;
-  for (int attempt = 0; attempt < want * 8; ++attempt) {
-    if (static_cast<int>(chosen.size()) >= want) break;
+  for (int attempt = 0; attempt < kProxies * 8; ++attempt) {
+    if (static_cast<int>(chosen.size()) >= kProxies) break;
     const std::optional<core::Pid> proxy = pick_live(pid(), target);
     if (!proxy.has_value()) break;
     bool duplicate = false;
@@ -271,7 +273,7 @@ void SwimAgent::attach_payload(proto::Message& m) {
 void SwimAgent::enqueue_gossip(std::uint32_t p, State state,
                                std::uint64_t inc) {
   gossip_queue_.push_back(
-      Gossip{p, state, inc, runtime_->config().gossip_repeats});
+      Gossip{p, state, inc, kGossipRepeats});
 }
 
 void SwimAgent::start_suspect(std::uint32_t p) {
@@ -429,11 +431,7 @@ std::optional<core::Pid> SwimAgent::pick_live(core::Pid exclude_a,
 // ---------------------------------------------------------------------------
 // SwimRuntime
 
-SwimRuntime::SwimRuntime(SwimConfig cfg, int m) : cfg_(cfg), m_(m) {
-  assert(cfg_.period > 0.0 && cfg_.direct_timeout > 0.0 &&
-         cfg_.direct_timeout < cfg_.period);
-  assert(cfg_.proxies >= 0 && cfg_.suspect_periods >= 1 &&
-         cfg_.gossip_repeats >= 1 && cfg_.dead_probe_periods >= 1);
+SwimRuntime::SwimRuntime(std::uint64_t seed, int m) : seed_(seed), m_(m) {
   agents_.resize(util::space_size(m_));
 }
 

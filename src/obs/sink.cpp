@@ -9,10 +9,6 @@ DeliverySink::~DeliverySink() = default;
 void DeliverySink::on_peer(double /*time*/, core::Pid /*peer*/,
                            bool /*live*/) {}
 
-void MetricsSink::on_deliver(double /*time*/, const proto::Message& m) {
-  metrics_->in_for(m.type).inc();
-}
-
 void write_delivery_jsonl(std::ostream& out, double time,
                           const proto::Message& m) {
   out << "{\"t\":" << time << ",\"type\":\"" << proto::type_name(m.type)

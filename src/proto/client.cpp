@@ -14,6 +14,20 @@ namespace {
 /// empirical percentile; below this the hedge fires at half the base
 /// timeout.
 constexpr std::size_t kHedgeWarmup = 16;
+
+// The adaptive layer's fixed policy. Each is the value every workload
+// runs with; none is configurable.
+constexpr double kRtoFloor = 0.03;    ///< lower clamp on any adaptive delay (s)
+constexpr double kRtoCap = 2.0;       ///< upper clamp; the backoff ceiling (s)
+constexpr double kBackoffBase = 2.0;  ///< per-retry delay multiplier
+constexpr double kRetryJitter = 0.1;  ///< +/- fraction on retry delays
+constexpr double kBusyBackoff = 0.05; ///< base migrate delay after kBusy (s)
+static_assert(kRtoFloor > 0.0 && kRtoCap >= kRtoFloor);
+static_assert(kBackoffBase >= 1.0);
+// Strictly inside (0, 1): a -100% draw would schedule a zero delay.
+static_assert(kRetryJitter > 0.0 && kRetryJitter < 1.0);
+// Positive: a zero delay would hot-loop against a shedding peer.
+static_assert(kBusyBackoff > 0.0);
 }  // namespace
 
 void ClientConfig::validate() const {
@@ -25,31 +39,11 @@ void ClientConfig::validate() const {
     throw std::invalid_argument(
         "ClientConfig: max_retries must be non-negative");
   }
-  if (std::isnan(rto_floor) || rto_floor <= 0.0) {
-    throw std::invalid_argument(
-        "ClientConfig: rto_floor must be strictly positive");
-  }
-  if (std::isnan(rto_cap) || rto_cap < rto_floor) {
-    throw std::invalid_argument(
-        "ClientConfig: rto_cap must be at least rto_floor");
-  }
-  if (std::isnan(backoff_base) || backoff_base < 1.0) {
-    throw std::invalid_argument(
-        "ClientConfig: backoff_base must be at least 1");
-  }
-  if (std::isnan(retry_jitter) || retry_jitter < 0.0 || retry_jitter >= 1.0) {
-    throw std::invalid_argument(
-        "ClientConfig: retry_jitter must be in [0, 1)");
-  }
   if (std::isnan(hedge_percentile) ||
       (hedge_percentile != 0.0 &&
        (hedge_percentile < 0.5 || hedge_percentile >= 1.0))) {
     throw std::invalid_argument(
         "ClientConfig: hedge_percentile must be 0 (off) or in [0.5, 1)");
-  }
-  if (std::isnan(busy_backoff) || busy_backoff <= 0.0) {
-    throw std::invalid_argument(
-        "ClientConfig: busy_backoff must be strictly positive");
   }
 }
 
@@ -163,18 +157,18 @@ void Client::arm_get_timeout(std::uint64_t id, int generation) {
   }
   const PendingGet* g = gets_.find(id);
   const int retries = g != nullptr ? g->retries : 0;
-  double delay = reliability_->estimator.rto(cfg_.timeout, cfg_.rto_floor,
-                                            cfg_.rto_cap);
-  for (int i = 0; i < retries && delay < cfg_.rto_cap; ++i) {
-    delay *= cfg_.backoff_base;
+  double delay =
+      reliability_->estimator.rto(cfg_.timeout, kRtoFloor, kRtoCap);
+  for (int i = 0; i < retries && delay < kRtoCap; ++i) {
+    delay *= kBackoffBase;
   }
-  delay = std::min(delay, cfg_.rto_cap);
-  if (retries > 0 && cfg_.retry_jitter > 0.0) {
+  delay = std::min(delay, kRtoCap);
+  if (retries > 0) {
     // Deterministic +/- jitter hashed from (seed, request id, leg): no
     // draw from any shared RNG stream, so enabling the layer perturbs
     // nothing else and reruns stay bit-identical.
-    delay *= 1.0 + cfg_.retry_jitter * (2.0 * leg_jitter(id, generation) - 1.0);
-    delay = std::max(delay, cfg_.rto_floor);
+    delay *= 1.0 + kRetryJitter * (2.0 * leg_jitter(id, generation) - 1.0);
+    delay = std::max(delay, kRtoFloor);
   }
   // Computed (non-constant) delay: must go through the wheel/heap, never
   // the fixed-constant FIFO lanes.
@@ -259,7 +253,7 @@ void Client::arm_hedge(std::uint64_t id) {
                      : 0.5 * cfg_.timeout;
   // Colocated serves contribute near-zero samples; never hedge *faster*
   // than the adaptive floor.
-  delay = std::max(delay, cfg_.rto_floor);
+  delay = std::max(delay, kRtoFloor);
   network_->engine().after(delay, [this, id] {
     PendingGet* found = gets_.find(id);
     if (found == nullptr) return;  // served before the hedge delay ran out
@@ -302,11 +296,11 @@ void Client::launch_hedge(std::uint64_t id, PendingGet& g) {
 double Client::busy_delay(const PendingGet& g) const noexcept {
   // Exponential in the number of subtree moves already made, capped: a
   // request bounced around a loaded system backs off harder each hop.
-  double d = cfg_.busy_backoff;
-  for (int i = 0; i < g.migrations && d < cfg_.rto_cap; ++i) {
-    d *= cfg_.backoff_base;
+  double d = kBusyBackoff;
+  for (int i = 0; i < g.migrations && d < kRtoCap; ++i) {
+    d *= kBackoffBase;
   }
-  return std::min(d, cfg_.rto_cap);
+  return std::min(d, kRtoCap);
 }
 
 double Client::leg_jitter(std::uint64_t id, int generation) const noexcept {

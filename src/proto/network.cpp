@@ -78,6 +78,12 @@ void Network::notify_peer_event(double time, core::Pid peer, bool live) {
   for (obs::DeliverySink* sink : sinks_) sink->on_peer(time, peer, live);
 }
 
+namespace {
+/// Half-width of a cluster's square blob (Geography::clusters > 0).
+constexpr double kClusterRadius = 0.04;
+static_assert(kClusterRadius > 0.0);
+}  // namespace
+
 std::vector<std::pair<double, double>> make_coordinates(
     const Geography& geo) {
   std::vector<std::pair<double, double>> coords(geo.slots);
@@ -104,8 +110,8 @@ std::vector<std::pair<double, double>> make_coordinates(
   const std::uint32_t block = (geo.slots + k - 1u) / k;
   for (std::uint32_t p = 0; p < geo.slots; ++p) {
     const auto [cx, cy] = centers[std::min(p / block, k - 1u)];
-    coords[p] = {cx + (rng.uniform01() - 0.5) * 2.0 * geo.cluster_radius,
-                 cy + (rng.uniform01() - 0.5) * 2.0 * geo.cluster_radius};
+    coords[p] = {cx + (rng.uniform01() - 0.5) * 2.0 * kClusterRadius,
+                 cy + (rng.uniform01() - 0.5) * 2.0 * kClusterRadius};
   }
   return coords;
 }
@@ -285,7 +291,10 @@ void Network::deliver(const WireBuffer& wire) {
     return;
   }
   ++delivered_;
-  if (metrics_ != nullptr) metrics_->delivered->inc();
+  if (metrics_ != nullptr) {
+    metrics_->delivered->inc();
+    metrics_->in_for(delivered->type).inc();
+  }
   // Sinks observe the datagram at delivery time, before the handler — so
   // a trace's record order matches the order handlers fired in.
   for (obs::DeliverySink* sink : sinks_) {

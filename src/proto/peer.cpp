@@ -11,23 +11,15 @@
 
 namespace lesslog::proto {
 
+namespace {
+// Reliable-push retransmit policy (Section 5 data motion): a fixed timer
+// on the event queue's FIFO-lane fast path.
+constexpr double kPushTimeout = 0.3;  ///< seconds before a push retransmit
+constexpr int kPushMaxRetries = 5;    ///< retransmissions before dropping
+static_assert(kPushTimeout > 0.0 && kPushMaxRetries >= 0);
+}  // namespace
+
 void PeerConfig::validate() const {
-  if (std::isnan(push_timeout) || push_timeout <= 0.0) {
-    throw std::invalid_argument(
-        "PeerConfig: push_timeout must be strictly positive");
-  }
-  if (push_max_retries < 0) {
-    throw std::invalid_argument(
-        "PeerConfig: push_max_retries must be non-negative");
-  }
-  if (std::isnan(push_backoff_base) || push_backoff_base < 1.0) {
-    throw std::invalid_argument(
-        "PeerConfig: push_backoff_base must be at least 1");
-  }
-  if (std::isnan(push_backoff_cap) || push_backoff_cap < push_timeout) {
-    throw std::invalid_argument(
-        "PeerConfig: push_backoff_cap must be at least push_timeout");
-  }
   if (busy_budget < 0) {
     throw std::invalid_argument(
         "PeerConfig: busy_budget must be non-negative");
@@ -384,13 +376,12 @@ void Peer::transmit_push(std::uint64_t id) {
   PendingPush* pending = find_push(id);
   if (pending == nullptr) return;
   network_->send(pending->msg);
-  const int retries = pending->retries;
   const int generation = ++pending->generation;
-  const auto expire = [this, id, generation] {
+  network_->engine().after_fixed(kPushTimeout, [this, id, generation] {
     PendingPush* entry = find_push(id);
     if (entry == nullptr) return;  // acked
     if (entry->generation != generation) return;  // stale timer
-    if (entry->retries >= cfg_.push_max_retries) {
+    if (entry->retries >= kPushMaxRetries) {
       // Out of budget: drop the transfer. The next membership event (or
       // the System-level bookkeeping in tests) re-detects the gap.
       cold_->pending_pushes.erase(id);
@@ -399,20 +390,7 @@ void Peer::transmit_push(std::uint64_t id) {
     ++entry->retries;
     if (metrics_ != nullptr) metrics_->push_retries->inc();
     transmit_push(id);
-  };
-  if (cfg_.push_backoff_base <= 1.0) {
-    // Fixed retransmit timer (the default): the event queue's FIFO-lane
-    // fast path, byte-identical to the historical constant schedule.
-    network_->engine().after_fixed(cfg_.push_timeout, expire);
-    return;
-  }
-  // Same capped exponential backoff policy as the client's adaptive
-  // retries; a computed delay must take the wheel/heap, not a lane.
-  double delay = cfg_.push_timeout;
-  for (int i = 0; i < retries && delay < cfg_.push_backoff_cap; ++i) {
-    delay *= cfg_.push_backoff_base;
-  }
-  network_->engine().after(std::min(delay, cfg_.push_backoff_cap), expire);
+  });
 }
 
 void Peer::reset_window() noexcept {

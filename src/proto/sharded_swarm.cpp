@@ -127,7 +127,6 @@ ShardedSwarm::ShardedSwarm(Config cfg, Plan plan)
     shards_.push_back(
         std::make_unique<Shard>(engines_.shard(s), cfg_.net));
     shards_[s]->network.set_metrics(&shards_[s]->metrics);
-    shards_[s]->network.add_sink(shards_[s]->sink);
     if (plan.geo.has_value()) {
       shards_[s]->network.enable_geography(*plan.geo);
     }

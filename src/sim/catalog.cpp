@@ -51,9 +51,7 @@ CatalogResult run_catalog_experiment(const CatalogConfig& cfg,
   const Workload node_rates =
       cfg.workload == WorkloadKind::kUniform
           ? uniform_workload(util::BorrowedView(live), cfg.total_rate)
-          : locality_workload(util::BorrowedView(live), cfg.total_rate, rng,
-                              cfg.hot_node_fraction,
-                              cfg.hot_request_fraction);
+          : locality_workload(util::BorrowedView(live), cfg.total_rate, rng);
   const std::vector<double> weights = zipf_weights(cfg.files, cfg.zipf_s);
 
   std::vector<std::unique_ptr<FileState>> files;

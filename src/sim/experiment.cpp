@@ -33,9 +33,8 @@ struct Setup {
     }
     demand = cfg.workload == WorkloadKind::kUniform
                  ? uniform_workload(util::BorrowedView(live), cfg.total_rate)
-                 : locality_workload(util::BorrowedView(live), cfg.total_rate, rng,
-                                     cfg.hot_node_fraction,
-                                     cfg.hot_request_fraction);
+                 : locality_workload(util::BorrowedView(live), cfg.total_rate,
+                                     rng);
   }
 
   Setup(const Setup&) = delete;

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "lesslog/util/minijson.hpp"
 
@@ -168,6 +170,56 @@ TEST(Replay, VersionOneShardedAndSwimArtifactsStillReplay) {
       config_from_artifact(as_version_1(artifact_to_json(swim_report)));
   EXPECT_TRUE(back.swim);
   EXPECT_EQ(back.shards, 1U);
+}
+
+/// `json` with `entries` ("key":value pairs joined by commas) spliced in
+/// at the front of its config object.
+std::string with_config_keys(const std::string& json,
+                             const std::string& entries) {
+  const std::string open = "\"config\":{";
+  const std::size_t at = json.find(open);
+  EXPECT_NE(at, std::string::npos) << json.substr(0, 64);
+  std::string out = json;
+  if (at != std::string::npos) out.insert(at + open.size(), entries + ",");
+  return out;
+}
+
+TEST(Replay, RetiredKeyAwayFromItsConstantIsRejectedByName) {
+  // The SWIM tunables and the crashes toggle are constants. An artifact
+  // that names one must carry the constant's value: any other value
+  // describes a run this build cannot reproduce.
+  Report report;
+  report.config = broken_config();
+  const std::string json = artifact_to_json(report);
+  const std::pair<std::string, std::string> retired[] = {
+      {"swim_period", "2"}, {"crashes", "false"}};
+  for (const auto& [key, value] : retired) {
+    const std::string entry = "\"" + key + "\":" + value;
+    try {
+      (void)config_from_artifact(with_config_keys(json, entry));
+      FAIL() << entry << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("chaos artifact: "), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Replay, RetiredKeysAtTheirConstantsReplay) {
+  // Artifacts written while these were config fields carry all seven
+  // keys at the values every run used; they replay unchanged.
+  const Report original = Driver(broken_config()).run();
+  ASSERT_FALSE(original.clean());
+  const std::string json = artifact_to_json(original);
+  EXPECT_EQ(json.find("swim_period"), std::string::npos);
+  const std::string old_format = with_config_keys(
+      json,
+      "\"crashes\":true,\"swim_period\":1,\"swim_direct_timeout\":0.25,"
+      "\"swim_proxies\":3,\"swim_suspect_periods\":3,"
+      "\"swim_gossip_repeats\":4,\"swim_convergence_rounds\":128");
+  const Report replayed = replay(old_format);
+  EXPECT_TRUE(same_outcome(original, replayed));
 }
 
 TEST(Replay, WriteArtifactProducesAReloadableFile) {

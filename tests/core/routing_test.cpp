@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "lesslog/util/rng.hpp"
 
@@ -125,19 +126,24 @@ TEST(RouteGet, StandInRequesterServesItself) {
   EXPECT_EQ(r.hops(), 0);
 }
 
+// gtest names each case after the raw bytes of its parameter, padding
+// included. The padding is spelled out and zeroed so the names do not pick
+// up stack garbage and stay the same from build to build.
 struct RoutingCase {
   int m;
   std::uint32_t root;
   std::uint64_t seed;
   std::uint32_t dead;
+  std::uint32_t pad0 = 0;
 };
+static_assert(std::has_unique_object_representations_v<RoutingCase>);
 
 class RoutingSweep : public ::testing::TestWithParam<RoutingCase> {};
 
 TEST_P(RoutingSweep, EveryLiveNodeReachesTheFile) {
   // Core liveness property: with the original copy placed by the insertion
   // rule, a request from any live node always finds the file.
-  const auto [m, root, seed, dead_count] = GetParam();
+  const auto [m, root, seed, dead_count, pad0] = GetParam();
   const LookupTree tree(m, Pid{root});
   util::StatusWord live = all_live(m);
   util::Rng rng(seed);

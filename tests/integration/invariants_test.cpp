@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "lesslog/core/membership.hpp"
 #include "lesslog/core/system.hpp"
@@ -15,6 +16,9 @@ namespace {
 using core::FileId;
 using core::Pid;
 
+// gtest names each case after the raw bytes of its parameter, padding
+// included. The padding is spelled out and zeroed so the names do not pick
+// up stack garbage and stay the same from build to build.
 struct Scenario {
   int m;
   int b;
@@ -22,7 +26,9 @@ struct Scenario {
   std::uint32_t initial_nodes;
   std::uint32_t files;
   int churn_steps;
+  std::uint32_t pad0 = 0;
 };
+static_assert(std::has_unique_object_representations_v<Scenario>);
 
 class InvariantSweep : public ::testing::TestWithParam<Scenario> {
  protected:

@@ -203,8 +203,7 @@ void sharded_locality_section(std::ostream& md, const Options& opt) {
     cfg.seed = 42;
     cfg.shards = shards;
     cfg.shard_map = kind;
-    cfg.geo = proto::Geography{
-        .seed = 42, .clusters = shards, .cluster_radius = 0.04};
+    cfg.geo = proto::Geography{.seed = 42, .clusters = shards};
     cfg.client.timeout = 2.0;
     proto::ShardedSwarm swarm(cfg);
 
