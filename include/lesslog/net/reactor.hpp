@@ -6,11 +6,12 @@
 // backpressure, a write capped by the kernel buffer — is simply called
 // again on the next poll instead of wedging until new activity. The
 // reactor owns no sockets and no protocol: it maps fds to callbacks and
-// dispatches whatever epoll_wait reports. Callbacks may add or remove
+// dispatches whatever epoll reports. Callbacks may add or remove
 // fds (including their own) mid-dispatch; removal is safe because each
 // dispatch re-checks registration and pins the callback it invokes.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,14 +47,17 @@ class Reactor {
     return callbacks_.size();
   }
 
-  /// Waits up to `timeout_ms` (0 = return immediately, -1 = block) and
-  /// dispatches every ready callback once. Returns the number of
-  /// callbacks dispatched. EINTR counts as zero ready, not an error.
-  int poll(int timeout_ms);
+  /// Waits up to `timeout` (zero = return immediately, negative = block)
+  /// and dispatches every ready callback once. Returns the number of
+  /// callbacks dispatched. The wait is exact to the nanosecond
+  /// (epoll_pwait2), so a deadline less than a millisecond away is slept
+  /// for rather than polled. EINTR counts as zero ready; any other error
+  /// throws std::system_error.
+  int poll(std::chrono::nanoseconds timeout);
 
   /// epoll_ctl(2) calls issued by add/modify/remove.
   [[nodiscard]] std::int64_t ctl_calls() const noexcept { return ctl_calls_; }
-  /// epoll_wait(2) calls issued by poll.
+  /// epoll_pwait2(2) calls issued by poll.
   [[nodiscard]] std::int64_t wait_calls() const noexcept {
     return wait_calls_;
   }

@@ -17,6 +17,12 @@
 // down longer than the queue absorbs, is a counted drop — the
 // client/peer retry layers own recovery, exactly as they do under the
 // simulated drop_probability.
+//
+// Writes are coalesced: send() only appends to its link's queue, and
+// poll() writes every connected link's queue with one send(2) before it
+// waits. A caller that alternates "run due work, then poll" therefore
+// makes one send(2) per link per turn, however many frames the turn
+// produced.
 #pragma once
 
 #include <chrono>
@@ -129,15 +135,28 @@ class Transport {
   /// retries happen inside poll().
   void connect_all();
 
-  /// Queues one frame toward the process owning `to`. False when the
-  /// frame was dropped (unmapped PID, or the link's queue is over cap) —
-  /// a counted best-effort loss, mirroring the simulator's drop path.
+  /// Queues one frame toward the process owning `to`; the next poll() or
+  /// flush() writes it. A frame that would push the queue past
+  /// write_queue_cap flushes its link first. False when the frame was
+  /// dropped (unmapped PID, or the link's queue is still over cap) — a
+  /// counted best-effort loss, mirroring the simulator's drop path.
   bool send(core::Pid to, const proto::WireBuffer& wire);
 
-  /// One reactor turn: waits up to `timeout_ms` (clamped down to the
-  /// nearest reconnect deadline), dispatches ready sockets, then runs
-  /// due reconnect attempts. Returns callbacks dispatched.
-  int poll(int timeout_ms);
+  /// One reactor turn: flushes every connected link with queued bytes
+  /// (see flush()), waits up to `timeout` (zero = no wait, negative =
+  /// block; clamped down to the nearest reconnect deadline), dispatches
+  /// ready sockets, then runs due reconnect attempts. Returns callbacks
+  /// dispatched.
+  int poll(std::chrono::nanoseconds timeout);
+  /// poll() with the timeout in milliseconds (-1 = block).
+  int poll(int timeout_ms) {
+    return poll(std::chrono::milliseconds(timeout_ms));
+  }
+
+  /// Writes the queue of every connected link that has bytes queued and
+  /// is not waiting for EPOLLOUT, one send(2) each. A process that stops
+  /// pumping calls this last, so that its final frames leave.
+  void flush();
 
   /// True when the outgoing link to entry `i` is established.
   [[nodiscard]] bool connected_to(std::size_t i) const;
@@ -167,7 +186,7 @@ class Transport {
   enum class LinkState : std::uint8_t { kIdle, kConnecting, kConnected };
 
   /// One outgoing link (this process -> entry index). The byte queue is
-  /// a vector with a consumed-prefix cursor: flush() writes from
+  /// a vector with a consumed-prefix cursor: flush_link() writes from
   /// `queue_head`, and the vector compacts when fully drained.
   struct OutLink {
     int fd = -1;
@@ -197,7 +216,12 @@ class Transport {
   void on_connect_ready(std::size_t index, std::uint32_t events);
   void on_out_readable(std::size_t index, std::uint32_t events);
   void fail_link(std::size_t index);
-  void flush(std::size_t index);
+  /// Writes link `index`'s queue until it drains or the kernel buffer
+  /// fills (then EPOLLOUT finishes the job).
+  void flush_link(std::size_t index);
+  /// True when link `index` is connected, has bytes queued and no
+  /// EPOLLOUT pending: the links flush() and a cap-crossing send() write.
+  [[nodiscard]] bool flushable(const OutLink& l) const noexcept;
   /// Registers link `index`'s fd (not yet watched) for `events`.
   void watch_link(std::size_t index, std::uint32_t events,
                   Reactor::Callback cb);

@@ -126,6 +126,10 @@ class Client {
   struct PendingGet {
     core::FileId file;
     core::Pid target;
+    /// The fixed-lane retry timer of the current leg while it is queued
+    /// (empty under adaptive timers). Four bytes: it sits in the padding
+    /// after `target`, so a pending slot is no larger for it.
+    sim::LaneTimer timer;
     GetCallback done;
     double issued_at = 0.0;
     int retries = 0;
@@ -153,7 +157,8 @@ class Client {
 
   void on_reply(const Message& m);
   void send_get(std::uint64_t id);
-  void arm_get_timeout(std::uint64_t id, int generation);
+  /// Arms the retry timer of `g`'s current leg (generation).
+  void arm_get_timeout(std::uint64_t id, PendingGet& g);
   void handle_get_timeout(std::uint64_t id, int generation);
   void send_insert(std::uint64_t id);
   /// Completes a pending get. `found` is the caller's already-resolved

@@ -37,11 +37,15 @@ class Engine {
   /// protocol's retry timeouts): O(1) FIFO-lane scheduling instead of a
   /// heap insertion, with identical execution order. Do not pass computed
   /// delays — every distinct value allocates a lane for the queue's
-  /// lifetime.
+  /// lifetime. Returns the handle release() takes.
   template <typename F>
-  void after_fixed(SimTime delay, F&& fn) {
-    queue_.schedule_after_fixed(delay, std::forward<F>(fn));
+  LaneTimer after_fixed(SimTime delay, F&& fn) {
+    return queue_.schedule_after_fixed(delay, std::forward<F>(fn));
   }
+
+  /// Frees a pending after_fixed() timer's handler now; its time still
+  /// passes as a no-op event (see EventQueue::release).
+  void release(LaneTimer timer) { queue_.release(timer); }
 
   /// Starts a Poisson process with the given rate (events/time-unit): `fn`
   /// fires at exponentially spaced times until `stop_at`. A rate of 0

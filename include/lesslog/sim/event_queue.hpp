@@ -25,6 +25,19 @@
 // InplaceEvent keeps the steady-state schedule/step cycle
 // allocation-free. The 32-bit seq is renumbered (order-preserving) on
 // the ~never-taken wrap, so tie-break behaviour is exact at any length.
+//
+// Releasing a lane timer. A protocol timeout usually outlives its
+// purpose: the request it guards is answered long before it expires, and
+// until then its handler and captures hold an arena slot. release()
+// takes the LaneTimer that schedule_after_fixed() returned and frees the
+// handler at once: the callable is destroyed and its slot recycled. The
+// 16-byte lane key stays where it is and pops at its time as a counted
+// no-op (it advances now() and last_fired() and counts as executed, but
+// runs nothing), so size(), next_time(), the (time, seq) order and every
+// executed-event count are the same as if the timer had fired into a
+// handler that did nothing. Releasing twice, after the timer fired, or
+// after renumber() folded the lane into the heap is a no-op. Only lane
+// entries can be released; wheel and heap entries always run.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +45,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -42,6 +56,23 @@ namespace lesslog::sim {
 
 using SimTime = double;
 using EventFn = InplaceEvent;
+
+/// Names one schedule_after_fixed() entry for EventQueue::release(). Four
+/// bytes, so a record that keeps one can usually fit it in padding. A
+/// default-constructed handle names nothing (so does the handle of a
+/// timer admitted through the wheel/heap overflow path).
+class LaneTimer {
+ public:
+  LaneTimer() = default;
+  [[nodiscard]] explicit operator bool() const noexcept { return bits_ != 0; }
+
+ private:
+  friend class EventQueue;
+  explicit LaneTimer(std::uint32_t bits) noexcept : bits_(bits) {}
+  /// (lane index + 1) << kLanePosBits | the entry's lane position; 0 =
+  /// none.
+  std::uint32_t bits_ = 0;
+};
 
 class EventQueue {
  public:
@@ -72,16 +103,23 @@ class EventQueue {
   /// mistake) is admitted through the wheel/heap path with the identical
   /// (time, seq) key — execution order is unchanged, only the O(1) lane
   /// bypass is lost. Callers should still pass constants; adaptive
-  /// timers belong on schedule().
-  void schedule_after_fixed(SimTime delay, EventFn fn);
+  /// timers belong on schedule(). Returns the handle release() takes
+  /// (an empty one for an overflow admission, which cannot be released).
+  LaneTimer schedule_after_fixed(SimTime delay, EventFn fn);
 
   /// schedule_after_fixed() overload for raw callables; see schedule().
   template <typename F, typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, InplaceEvent> &&
                                         std::is_invocable_r_v<void, D&>>>
-  void schedule_after_fixed(SimTime delay, F&& fn) {
-    push_lane_entry(delay, emplace_slot(std::forward<F>(fn)));
+  LaneTimer schedule_after_fixed(SimTime delay, F&& fn) {
+    return push_lane_entry(delay, emplace_slot(std::forward<F>(fn)));
   }
+
+  /// Frees a pending lane timer's handler now; its key still pops at its
+  /// time as a counted no-op (see the header comment). A no-op for an
+  /// empty handle and for a timer that already fired, was released, or
+  /// was folded into the heap by renumber().
+  void release(LaneTimer timer);
 
   /// Admits a contiguous run of `n` events in index order. Execution is
   /// byte-identical to n schedule() calls — seqs are assigned
@@ -198,6 +236,10 @@ class EventQueue {
   }
 
  private:
+  /// Tests move the seq counter to the edge of its 2^32 wrap, to run
+  /// renumber() without 2^32 schedules.
+  friend struct EventQueueTestAccess;
+
   /// Heap key: (time, seq, slot) packed into two words. Simulation times
   /// are non-negative, so the IEEE-754 bit pattern of `at` is
   /// order-preserving as an unsigned integer; the full (time, seq)
@@ -242,33 +284,39 @@ class EventQueue {
     return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
   }
 
-  /// One fixed-delay FIFO: a power-of-two ring of entries whose keys are
-  /// strictly increasing (monotone now() + constant delay, monotone seq),
-  /// so the front is always the lane's minimum.
+  /// The slot field of a released lane key: no handler to run.
+  static constexpr std::uint32_t kReleasedSlot =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Bits of a LaneTimer that number the entry within its lane; the bits
+  /// above hold the lane index + 1.
+  static constexpr unsigned kLanePosBits = 27;
+  static constexpr std::uint32_t kLanePosMask =
+      (std::uint32_t{1} << kLanePosBits) - 1;
+  static_assert(std::uint64_t{kMaxLanes} + 1 <=
+                    (std::uint64_t{1} << (32 - kLanePosBits)),
+                "the lane index + 1 must fit above the position bits");
+
+  /// One fixed-delay FIFO of entries whose keys are strictly increasing
+  /// (monotone now() + constant delay, monotone seq), so the front is
+  /// always the lane's minimum. A deque rather than a power-of-two ring:
+  /// it grows a block at a time, where a ring's double-and-copy holds
+  /// both copies at the peak. Entries are numbered in push order (mod
+  /// 2^kLanePosBits) and `head_pos` is the front's number, so a
+  /// LaneTimer finds its key by one subtraction.
   struct Lane {
     SimTime delay = 0.0;
-    std::vector<Entry> ring;  ///< capacity is a power of two (or empty)
-    std::size_t head = 0;     ///< index of the oldest entry
-    std::size_t count = 0;
+    std::deque<Entry> fifo;
+    std::uint32_t head_pos = 0;
 
-    [[nodiscard]] const Entry& front() const noexcept {
-      return ring[head];
-    }
-    [[nodiscard]] const Entry& back() const noexcept {
-      return ring[(head + count - 1) & (ring.size() - 1)];
-    }
-    void push_back(Entry e);
     Entry pop_front() noexcept {
-      const Entry e = ring[head];
-      head = (head + 1) & (ring.size() - 1);
-      --count;
+      const Entry e = fifo.front();
+      fifo.pop_front();
+      head_pos = (head_pos + 1) & kLanePosMask;
       return e;
     }
   };
 
-  /// Reserves an arena slot (recycled or fresh). The caller move-assigns
-  /// the handler into slot_ref() directly — taking the EventFn here by
-  /// value would cost one extra 56-byte relocate per schedule.
   // ---- Timing wheel ------------------------------------------------
   // Near-future entries (delay in [kWheelMinDelay, kWheelMaxDelay)) go
   // into a circular array of buckets keyed by floor(time / width). A
@@ -315,6 +363,7 @@ class EventQueue {
       free_slots_.pop_back();
       return slot;
     }
+    assert(arena_used_ < kReleasedSlot && "arena slot index overflow");
     const std::uint32_t slot = arena_used_++;
     if ((slot & (kChunkSize - 1)) == 0) {
       chunks_.push_back(std::make_unique<EventFn[]>(kChunkSize));
@@ -336,7 +385,7 @@ class EventQueue {
   /// Appends `e` to the 4-ary heap and sifts it up.
   void push_heap_entry(Entry e);
   /// Keys `slot` at now() + `delay` and appends it to `delay`'s lane.
-  void push_lane_entry(SimTime delay, std::uint32_t slot);
+  LaneTimer push_lane_entry(SimTime delay, std::uint32_t slot);
   /// Order-preserving seq compaction; runs once per 2^32 schedules.
   void renumber();
   /// First nonempty bucket at or after now(), sorted on first touch.
@@ -348,6 +397,10 @@ class EventQueue {
   Entry pop_source(int source) noexcept;
   /// Pops the heap root; sifts down. Precondition: heap non-empty.
   Entry pop_heap_root() noexcept;
+  /// Runs the popped entry `top`: moves the clock to its time, then
+  /// invokes and destroys its handler and recycles the slot. A released
+  /// key only moves the clock.
+  void fire(Entry top);
 
   std::vector<Entry> heap_;  ///< flat 4-ary min-heap of keys
   std::vector<Lane> lanes_;  ///< one per distinct fixed delay (few)

@@ -1,5 +1,6 @@
 #include "lesslog/core/snapshot.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -57,11 +58,21 @@ std::vector<std::uint8_t> get_bytes(std::istream& in) {
   if (size > (std::uint64_t{1} << 32)) {
     throw std::runtime_error("snapshot payload size implausible");
   }
-  std::vector<std::uint8_t> bytes(size);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(size));
-  if (static_cast<std::uint64_t>(in.gcount()) != size) {
-    throw std::runtime_error("snapshot truncated");
+  // Read in bounded chunks, so that the buffer grows only as bytes really
+  // arrive: a corrupt length field on a short stream throws "snapshot
+  // truncated" after one chunk instead of first allocating (and zeroing)
+  // up to 4 GiB.
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
+  std::vector<std::uint8_t> bytes;
+  while (bytes.size() < size) {
+    const std::size_t have = bytes.size();
+    const auto n = static_cast<std::size_t>(std::min(kChunk, size - have));
+    bytes.resize(have + n);
+    in.read(reinterpret_cast<char*>(bytes.data() + have),
+            static_cast<std::streamsize>(n));
+    if (static_cast<std::size_t>(in.gcount()) != n) {
+      throw std::runtime_error("snapshot truncated");
+    }
   }
   return bytes;
 }

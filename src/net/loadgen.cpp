@@ -100,12 +100,14 @@ double LoadGen::elapsed() const {
 
 int LoadGen::step(int max_wait_ms) {
   engine_.run_before(elapsed());
+  // Exact sleep until the next engine timer (see ServeHost::step).
   double wait_s = static_cast<double>(max_wait_ms) / 1000.0;
   if (!engine_.queue().empty()) {
     wait_s = std::clamp(engine_.queue().next_time() - elapsed(), 0.0,
                         wait_s);
   }
-  return transport_->poll(static_cast<int>(wait_s * 1000.0));
+  return transport_->poll(std::chrono::ceil<std::chrono::nanoseconds>(
+      std::chrono::duration<double>(wait_s)));
 }
 
 bool LoadGen::pump_until(const std::function<bool()>& done,
@@ -114,6 +116,7 @@ bool LoadGen::pump_until(const std::function<bool()>& done,
     step(20);
   }
   engine_.run_before(elapsed());
+  transport_->flush();  // what that last run queued
   return done();
 }
 

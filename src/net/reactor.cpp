@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cerrno>
+#include <ctime>
 #include <system_error>
 
 namespace lesslog::net {
@@ -55,14 +56,21 @@ void Reactor::remove(int fd) {
   callbacks_.erase(it);
 }
 
-int Reactor::poll(int timeout_ms) {
+int Reactor::poll(std::chrono::nanoseconds timeout) {
   std::array<epoll_event, 64> ready;
+  timespec wait{};
+  if (timeout.count() > 0) {
+    const auto secs = std::chrono::duration_cast<std::chrono::seconds>(timeout);
+    wait.tv_sec = static_cast<time_t>(secs.count());
+    wait.tv_nsec = static_cast<long>((timeout - secs).count());
+  }
   ++wait_calls_;
-  const int n = epoll_wait(epfd_, ready.data(),
-                           static_cast<int>(ready.size()), timeout_ms);
+  const int n = epoll_pwait2(epfd_, ready.data(),
+                             static_cast<int>(ready.size()),
+                             timeout.count() < 0 ? nullptr : &wait, nullptr);
   if (n < 0) {
     if (errno == EINTR) return 0;
-    throw_errno("epoll_wait");
+    throw_errno("epoll_pwait2");
   }
   int dispatched = 0;
   for (int i = 0; i < n; ++i) {

@@ -280,7 +280,7 @@ void Transport::on_connect_ready(std::size_t index, std::uint32_t events) {
   unwatch_link(index);
   watch_link(index, EPOLLIN | (queued_bytes(l) > 0 ? EPOLLOUT : 0u),
              [this, index](std::uint32_t ev) { on_out_readable(index, ev); });
-  flush(index);
+  flush_link(index);
 }
 
 void Transport::on_out_readable(std::size_t index, std::uint32_t events) {
@@ -299,7 +299,7 @@ void Transport::on_out_readable(std::size_t index, std::uint32_t events) {
       return;
     }
   }
-  if ((events & EPOLLOUT) != 0) flush(index);
+  if ((events & EPOLLOUT) != 0) flush_link(index);
 }
 
 void Transport::fail_link(std::size_t index) {
@@ -316,7 +316,18 @@ void Transport::fail_link(std::size_t index) {
   l.retry_at = now_s() + l.backoff.next();
 }
 
-void Transport::flush(std::size_t index) {
+bool Transport::flushable(const OutLink& l) const noexcept {
+  return l.state == LinkState::kConnected && queued_bytes(l) > 0 &&
+         (l.interest & EPOLLOUT) == 0;
+}
+
+void Transport::flush() {
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    if (flushable(links_[i])) flush_link(i);
+  }
+}
+
+void Transport::flush_link(std::size_t index) {
   OutLink& l = links_[index];
   while (queued_bytes(l) > 0) {
     ++stats_.send_calls;
@@ -363,33 +374,39 @@ bool Transport::send(core::Pid to, const proto::WireBuffer& wire) {
     return false;
   }
   OutLink& l = links_[*owner];
+  if (queued_bytes(l) + wire.size() > cfg_.write_queue_cap &&
+      flushable(l)) {
+    flush_link(*owner);  // make room before dropping anything
+  }
   if (queued_bytes(l) + wire.size() > cfg_.write_queue_cap) {
     // Backpressure: drop-newest, counted. The peer/client retry layer
     // treats this exactly like simulated wire loss.
     ++stats_.overflow_dropped;
     return false;
   }
+  // Only queued: poll() writes it, together with the rest of this turn's
+  // frames to the same link, in one send(2).
   l.queue.insert(l.queue.end(), wire.begin(), wire.end());
   ++stats_.frames_out;
-  if (l.state == LinkState::kConnected) flush(*owner);
   return true;
 }
 
-int Transport::poll(int timeout_ms) {
+int Transport::poll(std::chrono::nanoseconds timeout) {
+  flush();
   // Clamp the wait to the nearest reconnect deadline so a sleeping
-  // process still retries on time.
+  // process still retries on time. Rounded up: waking before the
+  // deadline would only buy another turn with nothing to do.
   const double now = now_s();
-  double wait_s =
-      timeout_ms < 0 ? 3600.0 : static_cast<double>(timeout_ms) / 1000.0;
   for (std::size_t i = 0; i < links_.size(); ++i) {
     if (i == self_) continue;
     const OutLink& l = links_[i];
     if (l.state == LinkState::kIdle && l.fd < 0 && l.attempted) {
-      wait_s = std::min(wait_s, std::max(0.0, l.retry_at - now));
+      const auto until = std::chrono::ceil<std::chrono::nanoseconds>(
+          std::chrono::duration<double>(std::max(0.0, l.retry_at - now)));
+      if (timeout.count() < 0 || until < timeout) timeout = until;
     }
   }
-  const int dispatched =
-      reactor_.poll(static_cast<int>(wait_s * 1000.0));
+  const int dispatched = reactor_.poll(timeout);
   // Run due reconnects.
   const double after = now_s();
   for (std::size_t i = 0; i < links_.size(); ++i) {

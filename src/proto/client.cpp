@@ -134,7 +134,7 @@ void Client::send_get(std::uint64_t id) {
   m.file = g.file;
   ++g.generation;
   ++g.transmissions;
-  arm_get_timeout(id, g.generation);
+  arm_get_timeout(id, g);
   if (*entry == home_->pid()) {
     // Colocated: the request starts at this very node (the common case);
     // hand it to the peer directly rather than paying a datagram.
@@ -146,17 +146,20 @@ void Client::send_get(std::uint64_t id) {
   }
 }
 
-void Client::arm_get_timeout(std::uint64_t id, int generation) {
+void Client::arm_get_timeout(std::uint64_t id, PendingGet& g) {
+  const int generation = g.generation;
   if (!cfg_.adaptive) {
     // Fixed-timer core: the exact pre-layer schedule, on the event
-    // queue's FIFO-lane fast path.
-    network_->engine().after_fixed(cfg_.timeout, [this, id, generation] {
+    // queue's FIFO-lane fast path. The previous leg's timer can only
+    // fire stale from here on, so its handler is released now.
+    sim::Engine& engine = network_->engine();
+    engine.release(g.timer);
+    g.timer = engine.after_fixed(cfg_.timeout, [this, id, generation] {
       handle_get_timeout(id, generation);
     });
     return;
   }
-  const PendingGet* g = gets_.find(id);
-  const int retries = g != nullptr ? g->retries : 0;
+  const int retries = g.retries;
   double delay =
       reliability_->estimator.rto(cfg_.timeout, kRtoFloor, kRtoCap);
   for (int i = 0; i < retries && delay < kRtoCap; ++i) {
@@ -182,6 +185,7 @@ void Client::handle_get_timeout(std::uint64_t id, int generation) {
   if (found == nullptr) return;  // already completed
   PendingGet& g = *found;
   if (g.generation != generation) return;  // a newer leg is in flight
+  g.timer = {};  // the current leg's timer is the one firing
   if (metrics_ != nullptr) metrics_->get_timeouts->inc();
   if (g.retries >= cfg_.max_retries) {
     finish_get(id, found, false, 0, 0, /*via_hedge=*/false);
@@ -204,7 +208,7 @@ void Client::migrate_get(std::uint64_t id, PendingGet* found, int hops,
     // retry budget and timeout on the adopted leg.
     g.retries = 0;
     ++g.generation;
-    arm_get_timeout(id, g.generation);
+    arm_get_timeout(id, g);
     return;
   }
   if (g.hedged && g.hedge_resolved && g.subtree_attempt == g.hedge_attempt) {
@@ -238,6 +242,8 @@ void Client::migrate_get(std::uint64_t id, PendingGet* found, int hops,
   // Deferred re-route (the BUSY backoff): stale the shed leg's pending
   // timeout now so it cannot fire a duplicate send during the wait.
   ++g.generation;
+  network_->engine().release(g.timer);
+  g.timer = {};
   const int generation = g.generation;
   network_->engine().after(delay, [this, id, generation] {
     PendingGet* p = gets_.find(id);
@@ -314,6 +320,9 @@ void Client::finish_get(std::uint64_t id, PendingGet* found, bool ok,
   assert(found != nullptr && found == gets_.find(id));
   PendingGet g = std::move(*found);
   gets_.erase(id);
+  // The answered leg's timeout would fire into nothing: free its handler
+  // now rather than hold it for the rest of the timeout.
+  network_->engine().release(g.timer);
   GetResult result;
   result.ok = ok;
   result.version = version;

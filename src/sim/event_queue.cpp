@@ -8,24 +8,7 @@ namespace lesslog::sim {
 
 namespace {
 constexpr std::size_t kArity = 4;
-constexpr std::size_t kInitialLaneCapacity = 16;
 }  // namespace
-
-void EventQueue::Lane::push_back(Entry e) {
-  if (count == ring.size()) {
-    // Grow by relinearizing into a fresh power-of-two ring.
-    std::vector<Entry> grown;
-    grown.reserve(ring.empty() ? kInitialLaneCapacity : ring.size() * 2);
-    for (std::size_t i = 0; i < count; ++i) {
-      grown.push_back(ring[(head + i) & (ring.size() - 1)]);
-    }
-    grown.resize(grown.capacity());
-    ring.swap(grown);
-    head = 0;
-  }
-  ring[(head + count) & (ring.size() - 1)] = e;
-  ++count;
-}
 
 void EventQueue::renumber() {
   // next_seq_ wrapped (one full 2^32-schedule epoch). Queued entries keep
@@ -35,7 +18,7 @@ void EventQueue::renumber() {
   // ascending sort is trivially a valid min-heap, so the heap is rebuilt
   // by construction.
   for (Lane& lane : lanes_) {
-    while (lane.count > 0) heap_.push_back(lane.pop_front());
+    while (!lane.fifo.empty()) heap_.push_back(lane.pop_front());
   }
   lane_count_ = 0;
   for (Bucket& b : wheel_) {
@@ -105,14 +88,14 @@ void EventQueue::push_heap_entry(Entry e) {
   heap_[hole] = e;
 }
 
-void EventQueue::schedule_after_fixed(SimTime delay, EventFn fn) {
+LaneTimer EventQueue::schedule_after_fixed(SimTime delay, EventFn fn) {
   assert(fn && "cannot schedule an empty event");
   const std::uint32_t slot = acquire_slot();
   slot_ref(slot) = std::move(fn);
-  push_lane_entry(delay, slot);
+  return push_lane_entry(delay, slot);
 }
 
-void EventQueue::push_lane_entry(SimTime delay, std::uint32_t slot) {
+LaneTimer EventQueue::push_lane_entry(SimTime delay, std::uint32_t slot) {
   assert(delay >= 0.0 && "cannot schedule into the past");
   Lane* lane = nullptr;
   for (Lane& candidate : lanes_) {
@@ -128,9 +111,11 @@ void EventQueue::push_lane_entry(SimTime delay, std::uint32_t slot) {
       // same (time, seq) key, so the pop order is indistinguishable; only
       // the O(1) lane bypass is lost for this entry.
       push_entry(now_ + delay, slot);
-      return;
+      return LaneTimer{};
     }
-    lanes_.push_back(Lane{delay, {}, 0, 0});
+    // Reserved whole on first use, so a new lane never moves the others.
+    if (lanes_.empty()) lanes_.reserve(kMaxLanes);
+    lanes_.push_back(Lane{delay, {}, 0});
     lane = &lanes_.back();
   }
   // renumber() after the lane lookup: it drains entries in place without
@@ -140,9 +125,34 @@ void EventQueue::push_lane_entry(SimTime delay, std::uint32_t slot) {
   // The FIFO invariant that makes the lane a valid priority queue: keys
   // enter in strictly increasing order (now() is monotone, x + delay is
   // monotone in x, and seq always grows).
-  assert(lane->count == 0 || earlier(lane->back(), e));
-  lane->push_back(e);
+  assert(lane->fifo.empty() || earlier(lane->fifo.back(), e));
+  // Positions are unambiguous while a lane holds fewer than 2^27 keys.
+  assert(lane->fifo.size() < kLanePosMask);
+  const std::uint32_t pos =
+      (lane->head_pos + static_cast<std::uint32_t>(lane->fifo.size())) &
+      kLanePosMask;
+  lane->fifo.push_back(e);
   ++lane_count_;
+  const auto index = static_cast<std::uint32_t>(lane - lanes_.data());
+  return LaneTimer{(index + 1) << kLanePosBits | pos};
+}
+
+void EventQueue::release(LaneTimer timer) {
+  if (!timer) return;
+  const std::uint32_t index = (timer.bits_ >> kLanePosBits) - 1;
+  assert(index < lanes_.size() && "a LaneTimer from another queue");
+  Lane& lane = lanes_[index];
+  // Entries before the front have fired (or were folded into the heap):
+  // their offset wraps to a huge value.
+  const std::uint32_t offset =
+      ((timer.bits_ & kLanePosMask) - lane.head_pos) & kLanePosMask;
+  if (offset >= lane.fifo.size()) return;
+  Entry& e = lane.fifo[offset];
+  const std::uint32_t slot = e.slot();
+  if (slot == kReleasedSlot) return;
+  slot_ref(slot) = EventFn{};
+  free_slots_.push_back(slot);
+  e.seq_slot |= kReleasedSlot;  // the seq stays: the pop order is unchanged
 }
 
 EventQueue::Bucket& EventQueue::wheel_front() const noexcept {
@@ -180,9 +190,9 @@ int EventQueue::min_source() const noexcept {
   }
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     const Lane& lane = lanes_[i];
-    if (lane.count == 0) continue;
-    if (best == nullptr || earlier(lane.front(), *best)) {
-      best = &lane.front();
+    if (lane.fifo.empty()) continue;
+    if (best == nullptr || earlier(lane.fifo.front(), *best)) {
+      best = &lane.fifo.front();
       source = static_cast<int>(i);
     }
   }
@@ -217,7 +227,7 @@ SimTime EventQueue::next_time() const {
     const Bucket& front = wheel_front();
     return front.v[front.head].at();
   }
-  return lanes_[static_cast<std::size_t>(source)].front().at();
+  return lanes_[static_cast<std::size_t>(source)].fifo.front().at();
 }
 
 EventQueue::Entry EventQueue::pop_heap_root() noexcept {
@@ -263,13 +273,18 @@ void EventQueue::step() {
   // reallocate with no live references into them, and the handler itself
   // sits at a chunk-stable arena address (its slot is not recycled until
   // after it returns).
-  const Entry top = pop_source(min_source());
+  fire(pop_source(min_source()));
+}
+
+void EventQueue::fire(Entry top) {
   now_ = top.at();
   last_fired_ = now_;
-  EventFn& fn = slot_ref(top.slot());
+  const std::uint32_t slot = top.slot();
+  if (slot == kReleasedSlot) return;
+  EventFn& fn = slot_ref(slot);
   fn();
   fn = EventFn{};  // destroy the handler; the storage stays in the arena
-  free_slots_.push_back(top.slot());
+  free_slots_.push_back(slot);
 }
 
 std::int64_t EventQueue::run_until(SimTime until) {
@@ -285,16 +300,10 @@ std::int64_t EventQueue::run_until(SimTime until) {
       const Bucket& front = wheel_front();
       at = front.v[front.head].at();
     } else {
-      at = lanes_[static_cast<std::size_t>(source)].front().at();
+      at = lanes_[static_cast<std::size_t>(source)].fifo.front().at();
     }
     if (at > until) break;
-    const Entry top = pop_source(source);
-    now_ = at;
-    last_fired_ = at;
-    EventFn& fn = slot_ref(top.slot());
-    fn();
-    fn = EventFn{};
-    free_slots_.push_back(top.slot());
+    fire(pop_source(source));
     ++executed;
   }
   now_ = std::max(now_, until);
@@ -312,16 +321,10 @@ std::int64_t EventQueue::run_before(SimTime bound) {
       const Bucket& front = wheel_front();
       at = front.v[front.head].at();
     } else {
-      at = lanes_[static_cast<std::size_t>(source)].front().at();
+      at = lanes_[static_cast<std::size_t>(source)].fifo.front().at();
     }
     if (at >= bound) break;
-    const Entry top = pop_source(source);
-    now_ = at;
-    last_fired_ = at;
-    EventFn& fn = slot_ref(top.slot());
-    fn();
-    fn = EventFn{};
-    free_slots_.push_back(top.slot());
+    fire(pop_source(source));
     ++executed;
   }
   now_ = std::max(now_, bound);
@@ -331,13 +334,7 @@ std::int64_t EventQueue::run_before(SimTime bound) {
 std::int64_t EventQueue::run_all() {
   std::int64_t executed = 0;
   while (!empty()) {
-    const Entry top = pop_source(min_source());
-    now_ = top.at();
-    last_fired_ = now_;
-    EventFn& fn = slot_ref(top.slot());
-    fn();
-    fn = EventFn{};
-    free_slots_.push_back(top.slot());
+    fire(pop_source(min_source()));
     ++executed;
   }
   return executed;

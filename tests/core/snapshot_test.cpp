@@ -1,8 +1,11 @@
 #include "lesslog/core/snapshot.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace lesslog::core {
 namespace {
@@ -105,6 +108,37 @@ TEST(Snapshot, RejectsTruncation) {
     std::stringstream cut(whole.substr(0, keep));
     EXPECT_THROW(load_snapshot(cut), std::runtime_error) << keep;
   }
+}
+
+TEST(Snapshot, HugeLengthOnAShortStreamThrowsBeforeAllocating) {
+  // One file with one holder: the copy's payload ends the stream, right
+  // after its u64 length field. Claim 2^32 - 1 bytes and keep only a few.
+  System sys({.m = 4, .b = 0, .seed = 3, .payload_size = 16});
+  sys.bootstrap(16);
+  (void)sys.insert_key(0x77);
+  std::stringstream buffer;
+  save_snapshot(sys, buffer);
+  std::string bytes = buffer.str();
+  ASSERT_GT(bytes.size(), 24u);
+  const std::size_t length_at = bytes.size() - 16 - 8;
+  const std::uint64_t claimed = (std::uint64_t{1} << 32) - 1;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[length_at + i] = static_cast<char>((claimed >> (8 * i)) & 0xFFu);
+  }
+  bytes.resize(length_at + 8 + 4);
+
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  std::istringstream in(bytes);
+  try {
+    (void)load_snapshot(in);
+    FAIL() << "a 2^32 - 1 byte claim on a 4-byte tail loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "snapshot truncated");
+  }
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);  // KiB
 }
 
 TEST(Snapshot, RejectsCorruptConfiguration) {

@@ -8,9 +8,12 @@
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
 
 namespace lesslog::net {
 namespace {
+
+using namespace std::chrono_literals;
 
 struct Pipe {
   int fds[2] = {-1, -1};
@@ -33,11 +36,11 @@ TEST(Reactor, DispatchesReadableFds) {
     char c;
     EXPECT_EQ(::read(p.rd(), &c, 1), 1);
   });
-  EXPECT_EQ(r.poll(0), 0);  // nothing pending
+  EXPECT_EQ(r.poll(0ms), 0);  // nothing pending
   ASSERT_EQ(::write(p.wr(), "x", 1), 1);
-  EXPECT_EQ(r.poll(100), 1);
+  EXPECT_EQ(r.poll(100ms), 1);
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(r.poll(0), 0);  // drained: level-trigger goes quiet
+  EXPECT_EQ(r.poll(0ms), 0);  // drained: level-trigger goes quiet
 }
 
 TEST(Reactor, LevelTriggeredRearmsUntilDrained) {
@@ -51,11 +54,11 @@ TEST(Reactor, LevelTriggeredRearmsUntilDrained) {
     EXPECT_EQ(::read(p.rd(), &c, 1), 1);  // drain ONE byte per dispatch
   });
   // Three polls, three dispatches: undrained readiness re-fires.
-  EXPECT_EQ(r.poll(100), 1);
-  EXPECT_EQ(r.poll(100), 1);
-  EXPECT_EQ(r.poll(100), 1);
+  EXPECT_EQ(r.poll(100ms), 1);
+  EXPECT_EQ(r.poll(100ms), 1);
+  EXPECT_EQ(r.poll(100ms), 1);
   EXPECT_EQ(calls, 3);
-  EXPECT_EQ(r.poll(0), 0);
+  EXPECT_EQ(r.poll(0ms), 0);
 }
 
 TEST(Reactor, ModifySwitchesTheMask) {
@@ -64,9 +67,9 @@ TEST(Reactor, ModifySwitchesTheMask) {
   int calls = 0;
   ASSERT_EQ(::write(p.wr(), "x", 1), 1);
   r.add(p.rd(), 0, [&](std::uint32_t) { ++calls; });  // masked off
-  EXPECT_EQ(r.poll(0), 0);
+  EXPECT_EQ(r.poll(0ms), 0);
   r.modify(p.rd(), EPOLLIN);
-  EXPECT_EQ(r.poll(100), 1);
+  EXPECT_EQ(r.poll(100ms), 1);
   EXPECT_EQ(calls, 1);
 }
 
@@ -80,7 +83,7 @@ TEST(Reactor, RemoveIsIdempotentAndStopsDispatch) {
   r.remove(p.rd());
   r.remove(p.rd());  // second remove: no-op
   EXPECT_FALSE(r.watched(p.rd()));
-  EXPECT_EQ(r.poll(0), 0);
+  EXPECT_EQ(r.poll(0ms), 0);
   EXPECT_EQ(calls, 0);
 }
 
@@ -106,7 +109,7 @@ TEST(Reactor, CallbackMayRemoveAnotherReadyFdMidDispatch) {
   });
   ASSERT_EQ(::write(p1.wr(), "x", 1), 1);
   ASSERT_EQ(::write(p2.wr(), "x", 1), 1);
-  (void)r.poll(100);
+  (void)r.poll(100ms);
   // Exactly one of the two ran; the one it removed did not, and only
   // the removed fd left the watch set.
   EXPECT_EQ(runs1 + runs2, 1);
@@ -124,11 +127,23 @@ TEST(Reactor, CallbackMayRemoveItself) {
     r.remove(p.rd());
   });
   ASSERT_EQ(::write(p.wr(), "x", 1), 1);
-  EXPECT_EQ(r.poll(100), 1);
+  EXPECT_EQ(r.poll(100ms), 1);
   EXPECT_EQ(calls, 1);
   ASSERT_EQ(::write(p.wr(), "y", 1), 1);
-  EXPECT_EQ(r.poll(0), 0);  // gone for good
+  EXPECT_EQ(r.poll(0ms), 0);  // gone for good
   EXPECT_EQ(calls, 1);
+}
+
+TEST(Reactor, WaitsForASubMillisecondTimeout) {
+  // The timeout is kept to the nanosecond: 300 us is slept for, not
+  // truncated to a zero-wait poll.
+  Reactor r;
+  Pipe p;
+  r.add(p.rd(), EPOLLIN, [](std::uint32_t) {});
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(r.poll(300us), 0);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, 300us);
+  EXPECT_EQ(r.wait_calls(), 1);
 }
 
 }  // namespace

@@ -120,9 +120,10 @@ TEST(Transport, DeliversFramesBetweenTwoProcesses) {
 }
 
 TEST(Transport, DrainedLinkSendIsOneSyscallAndNoEpollCtl) {
-  // Steady state on a connected link whose queue is empty: each frame is
-  // one send(2) that writes it whole, and the registered interest
-  // (EPOLLIN only) never changes, so no epoll_ctl(2) rides along.
+  // Steady state on a connected link whose queue is empty: send() only
+  // queues, and the next poll writes every frame of the turn with one
+  // send(2). The registered interest (EPOLLIN only) never changes, so no
+  // epoll_ctl(2) rides along.
   Transport a(two_nodes(), 0);
   Transport b(two_nodes(), 1);
   std::size_t got = 0;
@@ -142,14 +143,80 @@ TEST(Transport, DrainedLinkSendIsOneSyscallAndNoEpollCtl) {
   for (int i = 0; i < kFrames; ++i) {
     ASSERT_TRUE(a.send(core::Pid{40}, some_frame(rng, 40)));
   }
+  const TransportStats queued = a.stats();
+  EXPECT_EQ(queued.send_calls, before.send_calls);  // nothing written yet
+  EXPECT_EQ(queued.epoll_ctl_calls, before.epoll_ctl_calls);
+  EXPECT_EQ(queued.epoll_wait_calls, before.epoll_wait_calls);
+  EXPECT_EQ(queued.frames_out - before.frames_out, kFrames);
+
+  a.poll(0);
   const TransportStats after = a.stats();
-  EXPECT_EQ(after.send_calls - before.send_calls, kFrames);
+  EXPECT_EQ(after.send_calls - before.send_calls, 1);
+  EXPECT_EQ(after.bytes_out - before.bytes_out,
+            static_cast<std::int64_t>(kFrames * proto::kWireSize));
   EXPECT_EQ(after.epoll_ctl_calls - before.epoll_ctl_calls, 0);
-  EXPECT_EQ(after.epoll_wait_calls - before.epoll_wait_calls, 0);
+  EXPECT_EQ(after.epoll_wait_calls - before.epoll_wait_calls, 1);
 
   ASSERT_TRUE(pump(a, b, 2000, [&] { return got == kFrames; }));
   EXPECT_GE(b.stats().readv_calls, 1);
-  EXPECT_GT(a.stats().epoll_wait_calls, after.epoll_wait_calls);
+  EXPECT_EQ(a.stats().send_calls, after.send_calls);  // nothing left to send
+}
+
+TEST(Transport, SendCrossingTheCapFlushesItsLinkFirst) {
+  // A turn that produces more than write_queue_cap bytes for one link
+  // writes the queue early instead of dropping: nothing is lost while the
+  // kernel takes the bytes.
+  TransportConfig cfg;
+  cfg.write_queue_cap = 10 * proto::kWireSize;
+  Transport a(two_nodes(), 0, cfg);
+  Transport b(two_nodes(), 1);
+  std::size_t got = 0;
+  b.set_frame_handler([&](const proto::WireBuffer&) { ++got; });
+  a.bind();
+  b.bind();
+  a.set_peer_port(1, b.listen_port());
+  b.set_peer_port(0, a.listen_port());
+  a.connect_all();
+  b.connect_all();
+  ASSERT_TRUE(pump(a, b, 2000,
+                   [&] { return a.fully_connected() && b.fully_connected(); }));
+
+  util::Rng rng(5);
+  constexpr int kFrames = 25;
+  const TransportStats before = a.stats();
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(a.send(core::Pid{40}, some_frame(rng, 40))) << i;
+  }
+  // Frames 11 and 21 each found a full queue and flushed it.
+  EXPECT_EQ(a.stats().send_calls - before.send_calls, 2);
+  EXPECT_EQ(a.stats().overflow_dropped, 0);
+  ASSERT_TRUE(pump(a, b, 2000, [&] { return got == kFrames; }));
+  EXPECT_EQ(a.stats().send_calls - before.send_calls, 3);
+}
+
+// The wait is exact: a link in reconnect backoff is slept for until its
+// retry is due, not polled with a zero timeout through the last
+// millisecond before it (whole-millisecond waits did that, at thousands
+// of epoll calls per retry).
+TEST(Transport, BackoffWaitIsSleptNotPolled) {
+  Transport a(two_nodes(), 0);  // 50 ms first backoff, doubling
+  a.bind();
+  Transport probe(two_nodes(), 1);
+  probe.bind();
+  const std::uint16_t dead_port = probe.listen_port();
+  probe.close();
+  a.set_peer_port(1, dead_port);
+  a.connect_all();
+  const auto t0 = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - t0 <
+         std::chrono::milliseconds(300)) {
+    a.poll(100);
+  }
+  EXPECT_FALSE(a.connected_to(1));
+  // Three retries (at ~50, ~150 and ~350 ms) and the 100 ms cap make
+  // about ten waits; allow a few dozen.
+  EXPECT_LE(a.stats().epoll_wait_calls, 36);
+  EXPECT_GE(a.stats().epoll_wait_calls, 3);
 }
 
 TEST(Transport, SendToUnmappedOrSelfPidIsACountedDrop) {

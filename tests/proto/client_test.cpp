@@ -39,6 +39,72 @@ TEST(Client, TotalBlackoutFaultsAfterRetryBudget) {
   EXPECT_EQ(swarm.total_faults(), 1);
 }
 
+TEST(Client, AnsweredGetStillQuiescesAtItsTimeout) {
+  // An answered GET frees its retry timer's handler at once, but the
+  // timer's time still passes as a no-op event: the swarm goes quiet one
+  // timeout after the issue, as when the timer fired into a finished
+  // request.
+  ShardedSwarm::Config cfg;
+  cfg.m = 4;
+  cfg.b = 0;
+  cfg.nodes = 16;
+  cfg.client.timeout = 0.5;  // far above the round trip
+  ShardedSwarm swarm(cfg);
+  const FileId f = swarm.insert_named(0xD00D, Pid{0});
+  swarm.settle();
+  const Pid target = swarm.peer(Pid{0}).target_of(f);
+  const Pid requester{target.value() == 3u ? 5u : 3u};
+  const double issued = swarm.engine(0).now();
+  GetResult result;
+  swarm.get(f, target, requester, [&](const GetResult& r) { result = r; });
+  swarm.settle();
+  EXPECT_TRUE(result.ok);
+  EXPECT_EQ(result.retries, 0);
+  EXPECT_LT(result.latency, 0.1);
+  EXPECT_DOUBLE_EQ(swarm.quiesce_time(), issued + 0.5);
+  EXPECT_EQ(swarm.metrics(0).get_timeouts->value(), 0u);
+  EXPECT_TRUE(swarm.engine(0).queue().empty());
+}
+
+TEST(Client, TimedOutLegRetriesOnSchedule) {
+  // Replies slower than the timeout: each leg's timer fires and retries
+  // (the firing timer is never the released one), and the first leg's
+  // late reply completes the request. With fixed 30 ms links the round
+  // trip is 30 ms per forwarding hop plus the direct reply, so the GET
+  // retries once per 50 ms timeout that expires before that reply.
+  ShardedSwarm::Config cfg;
+  cfg.m = 4;
+  cfg.b = 0;
+  cfg.nodes = 16;
+  cfg.net.base_latency = 0.03;
+  cfg.net.jitter = 0.0;
+  cfg.client.timeout = 0.05;
+  cfg.client.max_retries = 8;
+  ShardedSwarm swarm(cfg);
+  const FileId f = swarm.insert_named(0xFACE, Pid{0});
+  swarm.settle();
+  const Pid target = swarm.peer(Pid{0}).target_of(f);
+  const Pid requester{target.value() ^ 0xFu};  // m forwarding hops away
+  int calls = 0;
+  GetResult result;
+  swarm.get(f, target, requester, [&](const GetResult& r) {
+    ++calls;
+    result = r;
+  });
+  swarm.settle();
+  EXPECT_EQ(calls, 1);
+  ASSERT_TRUE(result.ok);
+  EXPECT_NEAR(result.latency, 0.03 * (result.hops + 1), 1e-9);
+  const int expected_retries = static_cast<int>(result.latency / 0.05);
+  EXPECT_GE(expected_retries, 1);
+  EXPECT_EQ(result.retries, expected_retries);
+  EXPECT_EQ(swarm.metrics(0).get_timeouts->value(),
+            static_cast<std::uint64_t>(expected_retries));
+  EXPECT_EQ(swarm.metrics(0).get_retries->value(),
+            static_cast<std::uint64_t>(expected_retries));
+  EXPECT_TRUE(swarm.engine(0).queue().empty());
+}
+
 TEST(Client, CallbackFiresExactlyOnce) {
   ShardedSwarm::Config cfg;
   cfg.m = 4;

@@ -5,12 +5,22 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "lesslog/util/rng.hpp"
 
 namespace lesslog::sim {
+
+/// Moves a queue's seq counter so that the next schedule renumbers.
+struct EventQueueTestAccess {
+  static void wrap_next_schedule(EventQueue& q) {
+    q.next_seq_ = std::numeric_limits<std::uint32_t>::max();
+  }
+};
+
 namespace {
 
 TEST(EventQueue, StartsEmptyAtTimeZero) {
@@ -380,6 +390,158 @@ TEST(EventQueueAdmission, ReusedConstantStillLanesAfterOverflow) {
   EXPECT_EQ(q.run_all(),
             static_cast<std::int64_t>(EventQueue::kMaxLanes + 5));
   EXPECT_EQ(fired, static_cast<int>(EventQueue::kMaxLanes + 5));
+}
+
+// -- Releasing lane timers ------------------------------------------------
+//
+// release() frees a pending schedule_after_fixed() handler at once; the
+// 16-byte key stays and pops at its time as a counted no-op. A queue that
+// releases must be indistinguishable, by everything but the handler that
+// never runs, from a twin whose same timers fire into no-op handlers.
+
+TEST(EventQueueRelease, ReleasedTimerPopsAsACountedNoOp) {
+  EventQueue released;
+  EventQueue twin;
+  std::vector<int> order_released;
+  std::vector<int> order_twin;
+  std::vector<LaneTimer> handles;
+  util::Rng rng(2024);
+  const double delays[] = {0.05, 0.25, 0.01};
+  int next = 0;
+  // Lanes, wheel and heap entries interleaved; every third lane timer is
+  // released in one queue and fires into a no-op in the other.
+  for (int round = 0; round < 40; ++round) {
+    const double delay = delays[rng.bounded(3)];
+    const int id = next++;
+    const bool release = id % 3 == 0;
+    handles.push_back(released.schedule_after_fixed(
+        delay, [&order_released, id] { order_released.push_back(id); }));
+    if (release) {
+      twin.schedule_after_fixed(delay, [] {});
+    } else {
+      twin.schedule_after_fixed(
+          delay, [&order_twin, id] { order_twin.push_back(id); });
+    }
+    const double at = released.now() + 0.004 + 0.5 * rng.uniform01();
+    const int other = next++;
+    released.schedule(
+        at, [&order_released, other] { order_released.push_back(other); });
+    twin.schedule(at, [&order_twin, other] { order_twin.push_back(other); });
+    if (release) released.release(handles.back());
+    const double bound = released.now() + 0.02;
+    ASSERT_EQ(released.size(), twin.size());
+    ASSERT_EQ(released.run_before(bound), twin.run_before(bound));
+    ASSERT_EQ(released.last_fired(), twin.last_fired());
+    ASSERT_EQ(released.size(), twin.size());
+  }
+  EXPECT_EQ(released.next_time(), twin.next_time());
+  EXPECT_EQ(released.run_all(), twin.run_all());
+  EXPECT_EQ(released.last_fired(), twin.last_fired());
+  EXPECT_EQ(released.now(), twin.now());
+  EXPECT_TRUE(released.empty());
+  EXPECT_EQ(order_released, order_twin);
+  EXPECT_EQ(order_released.size(), order_twin.size());
+  EXPECT_EQ(std::count_if(order_released.begin(), order_released.end(),
+                          [](int id) { return id % 6 == 0; }),
+            0);  // no released handler ran
+}
+
+TEST(EventQueueRelease, DestroysTheCapturesAtRelease) {
+  EventQueue q;
+  auto state = std::make_shared<int>(7);
+  int ran = 0;
+  const LaneTimer t =
+      q.schedule_after_fixed(0.25, [state, &ran] { ran += *state; });
+  ASSERT_TRUE(t);
+  EXPECT_EQ(state.use_count(), 2);
+  q.release(t);
+  EXPECT_EQ(state.use_count(), 1);  // gone now, not at 0.25
+  EXPECT_EQ(q.size(), 1u);          // the key still waits for its time
+  EXPECT_EQ(q.next_time(), 0.25);
+  EXPECT_EQ(q.run_all(), 1);
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(q.last_fired(), 0.25);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueRelease, SecondReleaseAndReleaseAfterFiringAreNoOps) {
+  EventQueue q;
+  int fired = 0;
+  const LaneTimer first = q.schedule_after_fixed(0.1, [&fired] { ++fired; });
+  q.release(first);
+  q.release(first);  // twice
+  EXPECT_EQ(q.run_all(), 1);
+  EXPECT_EQ(fired, 0);
+
+  // A timer that already fired: its arena slot now serves a newer timer
+  // of the same lane, which a stale release must not touch.
+  const LaneTimer fired_timer =
+      q.schedule_after_fixed(0.1, [&fired] { ++fired; });
+  EXPECT_EQ(q.run_all(), 1);
+  EXPECT_EQ(fired, 1);
+  const LaneTimer live = q.schedule_after_fixed(0.1, [&fired] { ++fired; });
+  q.release(fired_timer);
+  q.release(LaneTimer{});  // an empty handle names nothing
+  EXPECT_EQ(q.run_all(), 1);
+  EXPECT_EQ(fired, 2);
+  (void)live;
+}
+
+TEST(EventQueueRelease, OverflowAdmissionsHaveNoHandle) {
+  EventQueue q;
+  for (std::size_t i = 0; i < EventQueue::kMaxLanes; ++i) {
+    EXPECT_TRUE(q.schedule_after_fixed(0.1 + 0.001 * static_cast<double>(i),
+                                       [] {}));
+  }
+  int fired = 0;
+  const LaneTimer overflow =
+      q.schedule_after_fixed(0.5, [&fired] { ++fired; });
+  EXPECT_FALSE(overflow);
+  q.release(overflow);
+  EXPECT_EQ(q.run_all(),
+            static_cast<std::int64_t>(EventQueue::kMaxLanes + 1));
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueueRelease, ReleaseAfterRenumberIsANoOp) {
+  // renumber() folds lane keys into the heap. A handle taken before the
+  // fold must not reach the lane entries pushed after it, and a key that
+  // was released before the fold still pops as a no-op from the heap.
+  EventQueue q;
+  std::vector<int> order;
+  const LaneTimer kept =
+      q.schedule_after_fixed(0.2, [&order] { order.push_back(0); });
+  const LaneTimer dropped =
+      q.schedule_after_fixed(0.2, [&order] { order.push_back(1); });
+  q.release(dropped);
+  EventQueueTestAccess::wrap_next_schedule(q);
+  q.schedule(0.1, [&order] { order.push_back(2); });  // renumbers
+  const LaneTimer after =
+      q.schedule_after_fixed(0.2, [&order] { order.push_back(3); });
+  const LaneTimer after2 =
+      q.schedule_after_fixed(0.2, [&order] { order.push_back(4); });
+  q.release(kept);     // folded into the heap: no-op
+  q.release(dropped);  // folded and released: no-op
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(q.run_all(), 5);
+  EXPECT_EQ(order, (std::vector<int>{2, 0, 3, 4}));
+  (void)after;
+  (void)after2;
+}
+
+TEST(EventQueueOrder, RenumberKeepsTheTotalOrder) {
+  // The 2^32 seq wrap compacts every queued seq; ties keep firing in
+  // submission order across lanes, wheel and heap.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_after_fixed(0.01, [&order] { order.push_back(0); });
+  q.schedule(0.01, [&order] { order.push_back(1); });
+  q.schedule(5.0, [&order] { order.push_back(2); });
+  EventQueueTestAccess::wrap_next_schedule(q);
+  q.schedule_after_fixed(0.01, [&order] { order.push_back(3); });
+  q.schedule(0.01, [&order] { order.push_back(4); });
+  EXPECT_EQ(q.run_all(), 5);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 2}));
 }
 
 TEST(EventQueueOrder, RunAllDrainsEverySource) {
