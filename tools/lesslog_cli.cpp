@@ -492,6 +492,7 @@ int cmd_serve(const Flags& flags) {
                     ? std::to_string(host.config().duration) + "s"
                     : std::string("until killed"))
             << "\n";
+  (void)net::leave_spawn_cpu();
   host.run();
 
   host.write_stats(std::cout);
