@@ -33,15 +33,4 @@ namespace lesslog::core {
 [[nodiscard]] std::vector<Pid> children_list(const LookupTree& tree, Pid k,
                                              const util::StatusWord& live);
 
-/// Total offspring weight represented by each entry of children_list():
-/// the subtree size of that entry. Used by the log-based baseline and by
-/// LessLog's proportional split. Same order as children_list().
-struct WeightedChild {
-  Pid pid;
-  std::uint32_t subtree_size;
-};
-
-[[nodiscard]] std::vector<WeightedChild> weighted_children_list(
-    const LookupTree& tree, Pid k, const util::StatusWord& live);
-
 }  // namespace lesslog::core

@@ -23,19 +23,6 @@
 
 namespace lesslog::core {
 
-/// The authoritative holder of a file with target tree `tree` in subtree
-/// `sub_id` under fault-tolerance degree b (the SubtreeView's). nullopt when
-/// the subtree has no live node.
-[[nodiscard]] std::optional<Pid> authoritative_holder(
-    const SubtreeView& view, std::uint32_t sub_id,
-    const util::StatusWord& live);
-
-/// All authoritative holders (one per subtree that has a live node).
-/// Order: subtree id ascending. With b = 0 this is the single
-/// FINDLIVENODE(r, r) target.
-[[nodiscard]] std::vector<Pid> authoritative_holders(
-    const SubtreeView& view, const util::StatusWord& live);
-
 /// One required relocation of an inserted copy.
 struct HolderChange {
   std::uint32_t sub_id = 0;

@@ -29,12 +29,6 @@ using HasCopyFn = std::function<bool(Pid)>;
 [[nodiscard]] std::optional<Pid> first_alive_ancestor(
     const LookupTree& tree, Pid k, const util::StatusWord& live);
 
-/// The chain of nodes a request visits starting at P(k): k itself, then
-/// successive first-alive-ancestors, ending at the root if the root is
-/// live, or at the highest live node on the path otherwise.
-[[nodiscard]] std::vector<Pid> ancestor_chain(const LookupTree& tree, Pid k,
-                                              const util::StatusWord& live);
-
 /// Outcome of a full GETFILE route.
 struct RouteResult {
   /// Nodes visited, in order, starting at the requester. When the walk
@@ -91,11 +85,6 @@ struct AncestorTable {
 [[nodiscard]] inline std::optional<Pid> first_alive_ancestor(
     const LookupTree& tree, Pid k, const util::LivenessView& view) {
   return first_alive_ancestor(tree, k, view.word());
-}
-
-[[nodiscard]] inline std::vector<Pid> ancestor_chain(
-    const LookupTree& tree, Pid k, const util::LivenessView& view) {
-  return ancestor_chain(tree, k, view.word());
 }
 
 [[nodiscard]] inline RouteResult route_get(const LookupTree& tree, Pid k,

@@ -16,6 +16,11 @@ namespace lesslog::core {
 /// Current snapshot format version.
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
+/// Widest ID space load_snapshot accepts: the widest any workload here
+/// runs. The loader builds all 2^m nodes before it reads the rest, so a
+/// corrupt header must not ask for more.
+inline constexpr int kMaxSnapshotWidth = 20;
+
 /// Writes the complete state of `sys` to `out`. Throws std::runtime_error
 /// on stream failure.
 void save_snapshot(const System& sys, std::ostream& out);

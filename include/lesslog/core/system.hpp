@@ -79,8 +79,6 @@ class System {
   [[nodiscard]] Pid target_of(FileId f) const;
   /// Every live node currently holding a copy of f (inserted + replicas).
   [[nodiscard]] std::vector<Pid> holders(FileId f) const;
-  /// Total replicas (non-inserted copies) of f.
-  [[nodiscard]] std::size_t replica_count(FileId f) const;
   [[nodiscard]] std::uint64_t version_of(FileId f) const;
   [[nodiscard]] bool file_known(FileId f) const {
     return files_.contains(f);
@@ -151,11 +149,6 @@ class System {
   /// placement with bit operations only and stores the replica. Returns
   /// the replica's location, or nullopt when no placement is possible.
   std::optional<Pid> replicate(FileId f, Pid overloaded);
-
-  /// Counter-based removal: drops every replica of f served fewer than
-  /// `threshold` requests since the counters were last reset. Returns how
-  /// many replicas were dropped.
-  std::size_t prune_cold_replicas(FileId f, std::uint64_t threshold);
 
   /// Clears service counters on all nodes (measurement-window boundary).
   void reset_counters();

@@ -106,10 +106,6 @@ class SwimView final : public util::MutableLivenessView {
   /// Soft doubt: the owning agent mirrors its member-table suspect
   /// entries here (raise on suspect, clear on refute/confirm/reset), so
   /// routing can skip doubted targets without reaching into the agent.
-  [[nodiscard]] bool is_suspected(std::uint32_t pid) const noexcept override {
-    return std::binary_search(suspects_.begin(), suspects_.end(), pid);
-  }
-
   [[nodiscard]] const std::vector<std::uint32_t>* suspects()
       const noexcept override {
     return suspects_.empty() ? nullptr : &suspects_;

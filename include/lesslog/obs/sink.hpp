@@ -8,13 +8,10 @@
 // point is the network's single delivery funnel, not per-peer handler
 // wrappers, so there is nothing to re-arm.
 //
-// Implementations in-tree: proto::Trace (record + query), JsonlSink
-// (stream one JSON object per event), membership::SwimRuntime (membership
-// events only). Per-type delivery counts need no sink: the network bumps
-// its msgs_in cells itself.
+// Implementations in-tree: proto::Trace (record, query and JSONL export)
+// and membership::SwimRuntime (membership events only). Per-type delivery
+// counts need no sink: the network bumps its msgs_in cells itself.
 #pragma once
-
-#include <iosfwd>
 
 #include "lesslog/obs/wire_metrics.hpp"
 
@@ -34,24 +31,5 @@ class DeliverySink {
   /// left / crashed (!live). Default: ignore.
   virtual void on_peer(double time, core::Pid peer, bool live);
 };
-
-/// Streaming exporter: one JSON object per observed event, written as it
-/// happens (JSONL). Delivery lines carry the full message; membership
-/// lines are tagged "event":"peer".
-class JsonlSink final : public DeliverySink {
- public:
-  explicit JsonlSink(std::ostream& out) : out_(&out) {}
-
-  void on_deliver(double time, const proto::Message& m) override;
-  void on_peer(double time, core::Pid peer, bool live) override;
-
- private:
-  std::ostream* out_;
-};
-
-/// Writes one delivery record in the shared JSONL shape (used by
-/// JsonlSink and proto::Trace so both emit identical lines).
-void write_delivery_jsonl(std::ostream& out, double time,
-                          const proto::Message& m);
 
 }  // namespace lesslog::obs

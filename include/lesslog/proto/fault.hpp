@@ -143,9 +143,6 @@ class FaultInjector {
   /// True while any rule window is open (the audit's "wire is clean"
   /// precondition is !any_active()).
   [[nodiscard]] bool any_active() const noexcept { return active_count_ > 0; }
-  [[nodiscard]] bool partition_active() const noexcept;
-  /// Both PIDs reachable from each other under the active partitions.
-  [[nodiscard]] bool reachable(core::Pid a, core::Pid b) const;
 
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }

@@ -88,12 +88,6 @@ inline constexpr int kMaxIdBits = 30;
   return std::has_single_bit(v);
 }
 
-/// Smallest m such that 2^m >= n; used when sizing an ID space for n nodes.
-/// Precondition: 1 <= n <= 2^kMaxIdBits.
-[[nodiscard]] constexpr int width_for(std::uint32_t n) noexcept {
-  return n <= 1 ? 1 : static_cast<int>(std::bit_width(n - 1));
-}
-
 // --- 64-bit word helpers for the packed liveness bitmaps -------------------
 //
 // StatusWord stores liveness as one bit per PID in 64-bit words. FINDLIVENODE
@@ -106,16 +100,6 @@ inline constexpr int kMaxIdBits = 30;
 // with a *within-word* bit permutation by XOR with c % 64. The helpers below
 // make that view scannable: xor_permute64 realigns one word into VID bit
 // order, and top_set_bit64 finds the largest qualifying VID in it.
-
-/// Count of trailing zero bits; 64 when w == 0.
-[[nodiscard]] constexpr int ctz64(std::uint64_t w) noexcept {
-  return std::countr_zero(w);
-}
-
-/// Count of leading zero bits; 64 when w == 0.
-[[nodiscard]] constexpr int clz64(std::uint64_t w) noexcept {
-  return std::countl_zero(w);
-}
 
 /// Index of the highest set bit. Precondition: w != 0.
 [[nodiscard]] constexpr int top_set_bit64(std::uint64_t w) noexcept {
@@ -191,9 +175,5 @@ inline constexpr int kMaxIdBits = 30;
 /// Render the low `m` bits of v MSB-first, e.g. to_binary(0b0101, 4) ==
 /// "0101". Used by debug dumps and the structure-figure examples.
 [[nodiscard]] std::string to_binary(std::uint32_t v, int m);
-
-/// Parse an MSB-first binary string ("0101") into a value. Asserts on any
-/// character outside {0,1}.
-[[nodiscard]] std::uint32_t from_binary(const std::string& s);
 
 }  // namespace lesslog::util

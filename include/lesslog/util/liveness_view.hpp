@@ -76,19 +76,12 @@ class MutableLivenessView : public LivenessView {
   virtual void believe_live(std::uint32_t pid) = 0;
   virtual void believe_dead(std::uint32_t pid) = 0;
 
-  /// Soft liveness doubt: true while a failure detector suspects `pid`
-  /// but has not confirmed it dead (the bitmap still shows it live).
-  /// Suspicion-aware routing skips such targets *when an alternative
-  /// exists*; it never overrides the bitmap. Oracle views have no
-  /// suspicion state, so the default is an unconditional false.
-  [[nodiscard]] virtual bool is_suspected(
-      std::uint32_t /*pid*/) const noexcept {
-    return false;
-  }
-
   /// The current suspects, ascending, or nullptr when the implementation
-  /// tracks none (oracle views). Lets a router mask all suspects out of a
-  /// status word in one pass instead of probing every candidate.
+  /// tracks none (oracle views). A suspect is a PID a failure detector
+  /// doubts but has not confirmed dead (the bitmap still shows it live).
+  /// Suspicion-aware routing masks all suspects out of a status word in
+  /// one pass and skips them *when an alternative exists*; it never
+  /// overrides the bitmap.
   [[nodiscard]] virtual const std::vector<std::uint32_t>* suspects()
       const noexcept {
     return nullptr;

@@ -60,10 +60,6 @@ class Rng {
   /// method to avoid modulo bias. Precondition: bound > 0.
   [[nodiscard]] std::uint64_t bounded(std::uint64_t bound) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
-  [[nodiscard]] std::int64_t uniform_int(std::int64_t lo,
-                                         std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform01() noexcept {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;

@@ -52,9 +52,4 @@ class Accumulator {
 /// how balanced the system is after replication.
 [[nodiscard]] double jain_fairness(const std::vector<double>& xs);
 
-/// Gini coefficient of a non-negative vector: 0 = perfectly equal,
-/// approaching 1 = one element holds everything. Used by the placement
-/// analytics to describe catchment inequality.
-[[nodiscard]] double gini(std::vector<double> xs);
-
 }  // namespace lesslog::util

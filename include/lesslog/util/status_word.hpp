@@ -46,9 +46,6 @@ class StatusWord {
   /// All live PIDs in ascending order.
   [[nodiscard]] std::vector<std::uint32_t> live_pids() const;
 
-  /// All dead PIDs in ascending order.
-  [[nodiscard]] std::vector<std::uint32_t> dead_pids() const;
-
   /// Lowest dead PID, or capacity() if the space is full. Used by join to
   /// pick a valid PID.
   [[nodiscard]] std::uint32_t first_dead() const noexcept;

@@ -21,13 +21,6 @@ void expand(const VirtualTree& vt, Vid v,
   }
 }
 
-std::vector<Vid> collect(const LookupTree& tree, Pid k,
-                         const util::StatusWord& live) {
-  return expand_children_list(
-      tree.virtual_tree(), tree.vid_of(k),
-      [&tree](Vid v) { return tree.pid_of(v); }, live);
-}
-
 }  // namespace
 
 std::vector<Vid> expand_children_list(const VirtualTree& vt, Vid v,
@@ -44,22 +37,12 @@ std::vector<Vid> expand_children_list(const VirtualTree& vt, Vid v,
 
 std::vector<Pid> children_list(const LookupTree& tree, Pid k,
                                const util::StatusWord& live) {
-  const std::vector<Vid> vids = collect(tree, k, live);
+  const std::vector<Vid> vids = expand_children_list(
+      tree.virtual_tree(), tree.vid_of(k),
+      [&tree](Vid v) { return tree.pid_of(v); }, live);
   std::vector<Pid> out;
   out.reserve(vids.size());
   for (Vid v : vids) out.push_back(tree.pid_of(v));
-  return out;
-}
-
-std::vector<WeightedChild> weighted_children_list(
-    const LookupTree& tree, Pid k, const util::StatusWord& live) {
-  const std::vector<Vid> vids = collect(tree, k, live);
-  std::vector<WeightedChild> out;
-  out.reserve(vids.size());
-  for (Vid v : vids) {
-    out.push_back(
-        WeightedChild{tree.pid_of(v), tree.virtual_tree().subtree_size(v)});
-  }
   return out;
 }
 

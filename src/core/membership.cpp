@@ -2,17 +2,6 @@
 
 namespace lesslog::core {
 
-std::optional<Pid> authoritative_holder(const SubtreeView& view,
-                                        std::uint32_t sub_id,
-                                        const util::StatusWord& live) {
-  return view.insertion_target(sub_id, live);
-}
-
-std::vector<Pid> authoritative_holders(const SubtreeView& view,
-                                       const util::StatusWord& live) {
-  return view.insertion_targets(live);
-}
-
 std::vector<HolderChange> diff_holders(const SubtreeView& view,
                                        const util::StatusWord& before,
                                        const util::StatusWord& after) {

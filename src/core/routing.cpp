@@ -16,17 +16,6 @@ std::optional<Pid> first_alive_ancestor(const LookupTree& tree, Pid k,
   return std::nullopt;
 }
 
-std::vector<Pid> ancestor_chain(const LookupTree& tree, Pid k,
-                                const util::StatusWord& live) {
-  std::vector<Pid> chain{k};
-  while (true) {
-    const std::optional<Pid> up = first_alive_ancestor(tree, chain.back(), live);
-    if (!up.has_value()) break;
-    chain.push_back(*up);
-  }
-  return chain;
-}
-
 AncestorTable build_ancestor_table(const LookupTree& tree,
                                    const util::StatusWord& live) {
   const int m = tree.width();

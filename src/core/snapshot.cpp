@@ -131,7 +131,8 @@ System load_snapshot(std::istream& in) {
   cfg.b = static_cast<int>(get_u32(in));
   cfg.seed = get_u64(in);
   cfg.payload_size = static_cast<std::size_t>(get_u64(in));
-  if (!util::valid_width(cfg.m) || cfg.b < 0 || cfg.b >= cfg.m) {
+  if (!util::valid_width(cfg.m) || cfg.m > kMaxSnapshotWidth || cfg.b < 0 ||
+      cfg.b >= cfg.m) {
     throw std::runtime_error("snapshot: invalid configuration");
   }
   System sys(cfg);

@@ -34,16 +34,6 @@ std::vector<Pid> System::holders(FileId f) const {
   return out;
 }
 
-std::size_t System::replica_count(FileId f) const {
-  const FileMeta& fm = meta(f);
-  std::size_t count = 0;
-  for (Pid p : fm.holders) {
-    const auto info = nodes_[p.value()].store().info(f);
-    if (info.has_value() && info->kind == CopyKind::kReplica) ++count;
-  }
-  return count;
-}
-
 std::uint64_t System::version_of(FileId f) const { return meta(f).version; }
 
 std::vector<FileId> System::files() const {
@@ -346,23 +336,6 @@ std::optional<Pid> System::replicate(FileId f, Pid overloaded) {
   fm.holders.insert(*target);
   maintenance_messages_ += 1;  // the CREATEFILE message
   return target;
-}
-
-std::size_t System::prune_cold_replicas(FileId f, std::uint64_t threshold) {
-  FileMeta& fm = meta(f);
-  std::size_t dropped = 0;
-  std::vector<Pid> holder_list(fm.holders.begin(), fm.holders.end());
-  for (Pid p : holder_list) {
-    FileStore& store = nodes_[p.value()].store();
-    const auto info = store.info(f);
-    if (info.has_value() && info->kind == CopyKind::kReplica &&
-        info->access_count < threshold) {
-      store.erase(f);
-      fm.holders.erase(p);
-      ++dropped;
-    }
-  }
-  return dropped;
 }
 
 void System::reset_counters() {

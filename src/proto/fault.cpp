@@ -272,25 +272,4 @@ double FaultInjector::jitter(double magnitude) {
   return magnitude > 0.0 ? rng_.uniform01() * magnitude : 0.0;
 }
 
-bool FaultInjector::partition_active() const noexcept {
-  for (std::size_t i = 0; i < plan_.rules.size(); ++i) {
-    if (active_[i] && plan_.rules[i].kind == FaultKind::kPartition) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool FaultInjector::reachable(core::Pid a, core::Pid b) const {
-  for (std::size_t i = 0; i < plan_.rules.size(); ++i) {
-    if (!active_[i]) continue;
-    const FaultRule& r = plan_.rules[i];
-    if (r.kind != FaultKind::kPartition) continue;
-    if (in_group(r.group, a.value()) != in_group(r.group, b.value())) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace lesslog::proto

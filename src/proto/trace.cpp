@@ -71,7 +71,14 @@ std::string Trace::render() const {
 
 void Trace::write_jsonl(std::ostream& out) const {
   for (const TraceRecord& r : records_) {
-    obs::write_delivery_jsonl(out, r.time, r.message);
+    const Message& m = r.message;
+    out << "{\"t\":" << r.time << ",\"type\":\"" << type_name(m.type)
+        << "\",\"from\":" << m.from.value() << ",\"to\":" << m.to.value()
+        << ",\"requester\":" << m.requester.value()
+        << ",\"subject\":" << m.subject.value()
+        << ",\"file\":" << m.file.key() << ",\"version\":" << m.version
+        << ",\"hops\":" << static_cast<int>(m.hop_count)
+        << ",\"ok\":" << (m.ok ? "true" : "false") << "}\n";
   }
 }
 

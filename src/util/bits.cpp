@@ -11,14 +11,4 @@ std::string to_binary(std::uint32_t v, int m) {
   return out;
 }
 
-std::uint32_t from_binary(const std::string& s) {
-  assert(!s.empty() && s.size() <= static_cast<std::size_t>(kMaxIdBits));
-  std::uint32_t v = 0;
-  for (char c : s) {
-    assert(c == '0' || c == '1');
-    v = (v << 1) | static_cast<std::uint32_t>(c - '0');
-  }
-  return v;
-}
-
 }  // namespace lesslog::util

@@ -31,14 +31,6 @@ std::uint64_t Rng::bounded(std::uint64_t bound) noexcept {
 
 #pragma GCC diagnostic pop
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  assert(lo <= hi);
-  const auto range = static_cast<std::uint64_t>(hi - lo) + 1u;
-  // range == 0 means the full 64-bit span; no bounding needed then.
-  const std::uint64_t draw = range == 0 ? (*this)() : bounded(range);
-  return lo + static_cast<std::int64_t>(draw);
-}
-
 double Rng::exponential(double rate) noexcept {
   assert(rate > 0.0);
   // Inversion; 1 - U avoids log(0).

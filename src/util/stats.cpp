@@ -51,21 +51,6 @@ double percentile(std::vector<double> samples, double q) {
   return percentile_sorted(samples, q);
 }
 
-double gini(std::vector<double> xs) {
-  if (xs.size() < 2) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  double weighted = 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    assert(xs[i] >= 0.0);
-    weighted += static_cast<double>(i + 1) * xs[i];
-    total += xs[i];
-  }
-  if (total == 0.0) return 0.0;
-  const auto n = static_cast<double>(xs.size());
-  return (2.0 * weighted) / (n * total) - (n + 1.0) / n;
-}
-
 double jain_fairness(const std::vector<double>& xs) {
   if (xs.empty()) return 1.0;
   double sum = 0.0;

@@ -43,15 +43,6 @@ std::vector<std::uint32_t> StatusWord::live_pids() const {
   return out;
 }
 
-std::vector<std::uint32_t> StatusWord::dead_pids() const {
-  std::vector<std::uint32_t> out;
-  out.reserve(dead_count());
-  for (std::uint32_t pid = 0; pid < capacity(); ++pid) {
-    if (!is_live(pid)) out.push_back(pid);
-  }
-  return out;
-}
-
 std::uint32_t StatusWord::first_dead() const noexcept {
   for (std::uint32_t pid = 0; pid < capacity(); ++pid) {
     if (!is_live(pid)) return pid;

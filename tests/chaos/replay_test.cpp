@@ -69,6 +69,18 @@ TEST(Replay, MalformedArtifactsAreRejected) {
   EXPECT_THROW(
       (void)config_from_artifact(R"({"schema":"wrong","config":{}})"),
       std::invalid_argument);
+  for (const auto& [json, message] :
+       {std::pair<std::string, std::string>{"[1,2]", "not a JSON object"},
+        {R"({"schema":"lesslog.chaos","config":3})",
+         "config must be an object"}}) {
+    try {
+      (void)config_from_artifact(json);
+      ADD_FAILURE() << json << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << json << ": " << e.what();
+    }
+  }
 }
 
 TEST(Replay, ParseFailureMessageNamesTheSyntaxError) {

@@ -110,19 +110,6 @@ TEST(ChildrenList, CoversLiveFrontierOfSubtree) {
   }
 }
 
-TEST(WeightedChildrenList, WeightsAreSubtreeSizes) {
-  const LookupTree tree(4, Pid{4});
-  const util::StatusWord live = all_live(4);
-  const std::vector<WeightedChild> wc =
-      weighted_children_list(tree, Pid{4}, live);
-  ASSERT_EQ(wc.size(), 4u);
-  EXPECT_EQ(wc[0].pid, Pid{5});
-  EXPECT_EQ(wc[0].subtree_size, 8u);
-  EXPECT_EQ(wc[1].subtree_size, 4u);
-  EXPECT_EQ(wc[2].subtree_size, 2u);
-  EXPECT_EQ(wc[3].subtree_size, 1u);
-}
-
 TEST(ExpandChildrenList, GenericFormAgreesWithTreeForm) {
   const LookupTree tree(5, Pid{11});
   util::StatusWord live = all_live(5);

@@ -15,8 +15,8 @@ TEST(AuthoritativeHolder, LiveRootHoldsItsOwnFiles) {
   const LookupTree tree(4, Pid{4});
   const SubtreeView view(tree, 0);
   const util::StatusWord live = all_live(4);
-  EXPECT_EQ(authoritative_holder(view, 0, live), Pid{4});
-  EXPECT_EQ(authoritative_holders(view, live), std::vector<Pid>{Pid{4}});
+  EXPECT_EQ(view.insertion_target(0, live), Pid{4});
+  EXPECT_EQ(view.insertion_targets(live), std::vector<Pid>{Pid{4}});
 }
 
 TEST(AuthoritativeHolder, DeadRootDelegatesToStandIn) {
@@ -25,7 +25,7 @@ TEST(AuthoritativeHolder, DeadRootDelegatesToStandIn) {
   util::StatusWord live = all_live(4);
   live.set_dead(4);
   live.set_dead(5);
-  EXPECT_EQ(authoritative_holder(view, 0, live), Pid{6});
+  EXPECT_EQ(view.insertion_target(0, live), Pid{6});
 }
 
 TEST(DiffHolders, NoChangeNoEntries) {

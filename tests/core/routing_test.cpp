@@ -46,8 +46,9 @@ TEST(FirstAliveAncestor, AllAncestorsDead) {
 TEST(AncestorChain, EndsAtLiveRoot) {
   const LookupTree tree(4, Pid{4});
   const util::StatusWord live = all_live(4);
-  const std::vector<Pid> chain = ancestor_chain(tree, Pid{8}, live);
-  EXPECT_EQ(chain, (std::vector<Pid>{Pid{8}, Pid{0}, Pid{4}}));
+  EXPECT_EQ(first_alive_ancestor(tree, Pid{8}, live), Pid{0});
+  EXPECT_EQ(first_alive_ancestor(tree, Pid{0}, live), Pid{4});
+  EXPECT_EQ(first_alive_ancestor(tree, Pid{4}, live), std::nullopt);
 }
 
 TEST(RouteGet, ServedAtRequesterWhenLocalCopy) {

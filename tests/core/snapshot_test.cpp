@@ -145,10 +145,53 @@ TEST(Snapshot, RejectsCorruptConfiguration) {
   System sys({.m = 4, .b = 0, .seed = 1});
   std::stringstream buffer;
   save_snapshot(sys, buffer);
-  std::string bytes = buffer.str();
-  bytes[8] = 99;  // m field
-  std::stringstream corrupt(bytes);
-  EXPECT_THROW(load_snapshot(corrupt), std::runtime_error);
+  // Past the widest ID space, and one past the widest the loader builds
+  // (accepting it would allocate 2^21 nodes, 218 MB).
+  for (const char m : {char{99}, char{kMaxSnapshotWidth + 1}}) {
+    std::string bytes = buffer.str();
+    bytes[8] = m;  // m field
+    std::stringstream corrupt(bytes);
+    try {
+      (void)load_snapshot(corrupt);
+      FAIL() << "m = " << int{m} << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "snapshot: invalid configuration") << int{m};
+    }
+  }
+}
+
+TEST(Snapshot, EveryPrefixAndBitFlipLoadsOrThrows) {
+  // m = 5 keeps the loads small: a single-bit flip of the width byte
+  // loads at most m = 13; 21 and above are rejected.
+  System sys({.m = 5, .b = 1, .seed = 4, .payload_size = 8});
+  sys.bootstrap(32);
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    const FileId f = sys.insert_key(0x6100 + k);
+    sys.replicate(f, sys.holders(f).front());
+  }
+  sys.update(sys.files().front());
+  sys.fail(Pid{9});
+  std::stringstream buffer;
+  save_snapshot(sys, buffer);
+  const std::string whole = buffer.str();
+
+  for (std::size_t keep = 0; keep < whole.size(); ++keep) {
+    std::istringstream cut(whole.substr(0, keep));
+    EXPECT_THROW((void)load_snapshot(cut), std::runtime_error) << keep;
+  }
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = whole;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      std::istringstream in(flipped);
+      EXPECT_NO_THROW({
+        try {
+          (void)load_snapshot(in);
+        } catch (const std::runtime_error&) {
+        }
+      }) << "byte " << i << " bit " << bit;
+    }
+  }
 }
 
 class SnapshotFuzz : public ::testing::TestWithParam<std::uint64_t> {};

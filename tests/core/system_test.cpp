@@ -21,7 +21,6 @@ TEST(System, InsertPlacesSingleCopyAtTarget) {
   const FileId f = sys.insert_at(Pid{4});
   EXPECT_EQ(sys.target_of(f), Pid{4});
   EXPECT_EQ(sys.holders(f), std::vector<Pid>{Pid{4}});
-  EXPECT_EQ(sys.replica_count(f), 0u);
   EXPECT_TRUE(sys.node(Pid{4}).store().has(f));
 }
 
@@ -61,8 +60,8 @@ TEST(System, ReplicateShedsToLargestChild) {
   const FileId f = sys.insert_at(Pid{4});
   const std::optional<Pid> replica = sys.replicate(f, Pid{4});
   EXPECT_EQ(replica, Pid{5});
-  EXPECT_EQ(sys.replica_count(f), 1u);
   EXPECT_EQ(sys.holders(f), (std::vector<Pid>{Pid{4}, Pid{5}}));
+  EXPECT_EQ(sys.node(Pid{5}).store().info(f)->kind, CopyKind::kReplica);
   // Requests from P(5)'s subtree are now served by the replica.
   const System::GetOutcome got = sys.get(f, Pid{13});
   EXPECT_EQ(got.route.served_by, Pid{5});
@@ -81,18 +80,6 @@ TEST(System, UpdatePropagatesVersionToAllCopies) {
     EXPECT_EQ(sys.node(h).store().info(f)->version, 1u);
   }
   EXPECT_EQ(sys.version_of(f), 1u);
-}
-
-TEST(System, PruneColdReplicas) {
-  System sys({.m = 4, .b = 0, .seed = 1});
-  sys.bootstrap(16);
-  const FileId f = sys.insert_at(Pid{4});
-  sys.replicate(f, Pid{4});  // P(5)
-  sys.replicate(f, Pid{4});  // P(6)
-  // Warm only P(5): a request from its subtree.
-  sys.get(f, Pid{13});
-  EXPECT_EQ(sys.prune_cold_replicas(f, 1), 1u);  // P(6) dropped
-  EXPECT_EQ(sys.holders(f), (std::vector<Pid>{Pid{4}, Pid{5}}));
 }
 
 TEST(System, JoinTakesBackTargetRole) {

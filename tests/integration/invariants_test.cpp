@@ -6,7 +6,7 @@
 #include <set>
 #include <type_traits>
 
-#include "lesslog/core/membership.hpp"
+#include "lesslog/core/fault_tolerant.hpp"
 #include "lesslog/core/system.hpp"
 #include "lesslog/util/rng.hpp"
 
@@ -61,8 +61,7 @@ class InvariantSweep : public ::testing::TestWithParam<Scenario> {
       if (std::find(lost.begin(), lost.end(), f) != lost.end()) continue;
       const core::LookupTree tree = sys.tree_of(f);
       const core::SubtreeView view(tree, sys.fault_bits());
-      for (const Pid holder :
-           core::authoritative_holders(view, sys.status())) {
+      for (const Pid holder : view.insertion_targets(sys.status())) {
         const auto info = sys.node(holder).store().info(f);
         ASSERT_TRUE(info.has_value())
             << "authoritative holder P(" << holder.value()

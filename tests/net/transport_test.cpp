@@ -14,7 +14,9 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lesslog/util/rng.hpp"
@@ -86,6 +88,19 @@ TEST(HostMap, RejectsMalformedText) {
   EXPECT_THROW(
       HostMap::parse("serve:0-31:127.0.0.1:1;serve:31-40:127.0.0.1:2"),
       std::invalid_argument);
+  for (const auto& [text, message] :
+       {std::pair<std::string, std::string>{"serve:0-1-2:127.0.0.1:4701",
+                                            "bad pid range"},
+        {"serve:x:127.0.0.1:4701", "bad pid 'x'"},
+        {"serve:0-31::4701", "empty host"}}) {
+    try {
+      (void)HostMap::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
 }
 
 TEST(Transport, DeliversFramesBetweenTwoProcesses) {

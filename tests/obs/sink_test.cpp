@@ -5,7 +5,6 @@
 #include "lesslog/obs/sink.hpp"
 
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -156,21 +155,6 @@ TEST(DeliverySinkTest, TraceAndRawSinkRecordIdenticalStreams) {
     EXPECT_EQ(trace.records()[i].message.type, sink.deliveries[i].type);
   }
   swarm.remove_sink(sink);
-}
-
-TEST(DeliverySinkTest, JsonlSinkMatchesTraceWriteJsonl) {
-  proto::ShardedSwarm swarm(config());
-  proto::Trace trace(swarm);
-  std::ostringstream streamed;
-  JsonlSink jsonl(streamed);
-  swarm.add_sink(jsonl);
-  drive(swarm, 15, 31);
-
-  std::ostringstream batched;
-  trace.write_jsonl(batched);
-  EXPECT_EQ(streamed.str(), batched.str());
-  EXPECT_NE(streamed.str().find("\"type\":"), std::string::npos);
-  swarm.remove_sink(jsonl);
 }
 
 /// Counts deliveries per shard: cell s is written only by shard s's

@@ -86,8 +86,6 @@ TEST(FaultInjector, PartitionSeparatesGroupFromComplement) {
   EXPECT_TRUE(inj.partition_blocks(core::Pid{5}, core::Pid{2}));
   EXPECT_FALSE(inj.partition_blocks(core::Pid{0}, core::Pid{1}));
   EXPECT_FALSE(inj.partition_blocks(core::Pid{5}, core::Pid{6}));
-  EXPECT_FALSE(inj.reachable(core::Pid{0}, core::Pid{5}));
-  EXPECT_TRUE(inj.reachable(core::Pid{5}, core::Pid{7}));
   EXPECT_EQ(inj.stats().partition_dropped, 2);
   inj.deactivate(0);
   EXPECT_FALSE(inj.partition_blocks(core::Pid{0}, core::Pid{5}));

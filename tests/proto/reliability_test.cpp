@@ -250,9 +250,6 @@ class FakeSuspicionView final : public util::MutableLivenessView {
     rebind(&status_.read());
   }
 
-  [[nodiscard]] bool is_suspected(std::uint32_t pid) const noexcept override {
-    return std::binary_search(suspects_.begin(), suspects_.end(), pid);
-  }
   [[nodiscard]] const std::vector<std::uint32_t>* suspects()
       const noexcept override {
     return suspects_.empty() ? nullptr : &suspects_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "lesslog/core/virtual_tree.hpp"
 
 namespace lesslog::util {
@@ -80,22 +82,12 @@ TEST(Bits, Complement) {
   }
 }
 
-TEST(Bits, WidthFor) {
-  EXPECT_EQ(width_for(1), 1);
-  EXPECT_EQ(width_for(2), 1);
-  EXPECT_EQ(width_for(3), 2);
-  EXPECT_EQ(width_for(16), 4);
-  EXPECT_EQ(width_for(17), 5);
-  EXPECT_EQ(width_for(1024), 10);
-}
-
 TEST(Bits, BinaryRoundTrip) {
   EXPECT_EQ(to_binary(0b0101, 4), "0101");
   EXPECT_EQ(to_binary(0, 4), "0000");
   EXPECT_EQ(to_binary(mask_of(4), 4), "1111");
-  EXPECT_EQ(from_binary("1011"), 0b1011u);
   for (std::uint32_t v = 0; v < 64; ++v) {
-    EXPECT_EQ(from_binary(to_binary(v, 6)), v);
+    EXPECT_EQ(std::stoul(to_binary(v, 6), nullptr, 2), v);
   }
 }
 
@@ -147,12 +139,6 @@ INSTANTIATE_TEST_SUITE_P(Widths, LeadingOnesSweep,
                          ::testing::Values(1, 2, 3, 4, 6, 8, 10));
 
 TEST(Bits64, CtzClzTopBit) {
-  EXPECT_EQ(ctz64(0), 64);
-  EXPECT_EQ(clz64(0), 64);
-  EXPECT_EQ(ctz64(1), 0);
-  EXPECT_EQ(clz64(1), 63);
-  EXPECT_EQ(ctz64(std::uint64_t{1} << 63), 63);
-  EXPECT_EQ(clz64(std::uint64_t{1} << 63), 0);
   EXPECT_EQ(top_set_bit64(1), 0);
   EXPECT_EQ(top_set_bit64(0b1010'0000), 7);
   EXPECT_EQ(top_set_bit64(~std::uint64_t{0}), 63);

@@ -65,21 +65,6 @@ TEST(Rng, BoundedCoversAllResidues) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
-TEST(Rng, UniformIntInclusiveBounds) {
-  Rng rng(5);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const std::int64_t v = rng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= (v == -3);
-    saw_hi |= (v == 3);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, Uniform01HalfOpen) {
   Rng rng(13);
   double sum = 0.0;
