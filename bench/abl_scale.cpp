@@ -5,9 +5,12 @@
 // loss, fixed request pattern) on a proto::ShardedSwarm with S engine
 // shards, so the *outcome* of a cell is S-independent by construction —
 // the sweep isolates pure execution cost: window/barrier overhead versus
-// parallel shard execution. speedup is wall(S=1)/wall(S) per m. On a
-// single-core host the expected curve is flat (~1x, barrier overhead
-// visible); the determinism claims are what the ctest gate enforces.
+// parallel shard execution. speedup is wall(S=1)/wall(S) per m. It
+// grows with m, since a wider swarm puts more events in each window per
+// barrier: at m = 10 S > 1 is slower than S = 1, and at m = 16 and 20
+// S = 4 and 8 are several times faster on a 4-vCPU host (EXPERIMENTS.md
+// has the measured curve). The walls carry the host's run-to-run
+// spread; the determinism claims are what the ctest gate enforces.
 // --m 20 runs the full 2^20-slot (1M-peer) configuration.
 //
 // The map section reruns one cell under a clustered geography with both

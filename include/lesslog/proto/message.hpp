@@ -62,6 +62,18 @@ inline constexpr std::size_t kWireSize = 8 + 1 + 4 * 4 + 8 + 8 + 1 + 1;
 /// deliver path never touches the heap.
 using WireBuffer = std::array<std::uint8_t, kWireSize>;
 
+/// The destination PID field of a wire image, read without decoding the
+/// rest. Unvalidated: the network's delivery lookahead uses it only as a
+/// prefetch address.
+[[nodiscard]] inline std::uint32_t wire_to(const WireBuffer& wire) noexcept {
+  constexpr std::size_t kToOffset = 8 + 1 + 4;  // after request_id, type, from
+  std::uint32_t to = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    to |= std::uint32_t{wire[kToOffset + i]} << (8 * i);
+  }
+  return to;
+}
+
 /// Encodes to the fixed-width little-endian wire format into a caller-
 /// owned buffer — the canonical serializer.
 void encode_into(const Message& m, WireBuffer& out) noexcept;

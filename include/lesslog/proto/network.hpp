@@ -198,6 +198,11 @@ class Network {
     Network* net;
     WireBuffer wire;
     void operator()() const { net->deliver(wire); }
+    /// The event queue's lookahead hook (sim::InplaceEvent): stage 0
+    /// prefetches the destination's dispatch slot, stage 1 the first two
+    /// cache lines of the context that slot names (the receiving peer).
+    /// Reads only the owning network's table; writes nothing.
+    void prefetch(int stage) const noexcept;
   };
 
   /// Arrival half of send(): decode and dispatch to the target handler.

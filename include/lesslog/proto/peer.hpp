@@ -61,9 +61,10 @@ class Peer {
        Network& network, PeerConfig cfg = {});
 
   /// Same, seeding the liveness view from a copy-on-write handle. Swarm
-  /// construction hands every peer one shared snapshot instead of 2^m
-  /// distinct 2^m-bit copies; a peer's view silently diverges onto its own
-  /// copy the first time a membership announcement mutates it.
+  /// construction hands the peers of each shard one shared snapshot
+  /// instead of 2^m distinct 2^m-bit copies; a peer's view silently
+  /// diverges onto its own copy the first time a membership announcement
+  /// mutates it.
   Peer(core::Pid pid, int b, util::CowStatus initial_status,
        Network& network, PeerConfig cfg = {});
 

@@ -47,9 +47,6 @@ class ShardRouter {
   /// drain phase, shard `dest`'s drain task.
   void drain_into(std::size_t dest, Network& net);
 
-  /// True when no parcel is in flight. Only meaningful at a barrier.
-  [[nodiscard]] bool empty() const noexcept;
-
  private:
   /// One mailbox, SoA: parcel i is (at[i], wire[i]), FIFO in post order.
   struct Box {

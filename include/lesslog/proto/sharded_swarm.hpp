@@ -37,9 +37,24 @@
 // Determinism: shard execution is sequential within a window, barriers
 // are full synchronizations, and mailboxes drain in fixed order — so a
 // run is a pure function of (seed, S, map).
+//
+// PID records. Each PID's Peer and Client sit side by side in one
+// 512-byte record of an array indexed by PID and sized for all 2^m PIDs,
+// so a delivery and the reply its client handles touch one block, and
+// under the range map each shard's PIDs are one contiguous slice. The
+// array is 2 MB aligned and advised for transparent huge pages
+// (util::allocate_huge): a GET of the million-peer swarm visits about
+// m/2 random peers, and on 4 KB pages each visit also misses the TLB. A
+// record is constructed when its PID first joins and lives until the
+// swarm does. For S > 1 each shard's worker constructs that shard's
+// records (sim::ShardedEngine::for_each_shard), in ascending PID order,
+// which spreads the first-touch page faults of a large set-up over the
+// workers and leaves every shard's state as the serial order would.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -83,6 +98,8 @@ class ShardedSwarm {
   // The forward/drain hooks capture `this`; the object is pinned.
   ShardedSwarm(const ShardedSwarm&) = delete;
   ShardedSwarm& operator=(const ShardedSwarm&) = delete;
+  /// Destroys every client, then every peer.
+  ~ShardedSwarm();
 
   [[nodiscard]] std::size_t shards() const noexcept {
     return shards_.size();
@@ -118,8 +135,15 @@ class ShardedSwarm {
   [[nodiscard]] const obs::WireMetrics& metrics(std::size_t s) const {
     return shards_[s]->metrics;
   }
-  [[nodiscard]] Peer& peer(core::Pid p) { return *peers_[p.value()]; }
-  [[nodiscard]] Client& client(core::Pid p) { return *clients_[p.value()]; }
+  /// Precondition for both: p has joined at some point (every PID below
+  /// Config::nodes has). The address is fixed for the swarm's lifetime.
+  [[nodiscard]] Peer& peer(core::Pid p) {
+    return *std::launder(reinterpret_cast<Peer*>(records_[p.value()].peer));
+  }
+  [[nodiscard]] Client& client(core::Pid p) {
+    return *std::launder(
+        reinterpret_cast<Client*>(records_[p.value()].client));
+  }
   [[nodiscard]] const util::StatusWord& status() const noexcept {
     return status_.read();
   }
@@ -328,9 +352,26 @@ class ShardedSwarm {
   [[nodiscard]] static Plan make_plan(const Config& cfg);
   ShardedSwarm(Config cfg, Plan plan);
 
+  /// One PID's protocol objects (see the header comment): the peer's
+  /// hot lines start the record, on a cache-line boundary.
+  struct alignas(64) Record {
+    alignas(Peer) std::byte peer[sizeof(Peer)];
+    alignas(Client) std::byte client[sizeof(Client)];
+  };
+  struct RecordsDelete {
+    std::size_t bytes;
+    void operator()(Record* records) const noexcept;
+  };
+
   [[nodiscard]] Shard& home(core::Pid p) {
     return *shards_[router_.shard_of(p)];
   }
+  [[nodiscard]] const Client& client(std::uint32_t p) const {
+    return *std::launder(reinterpret_cast<const Client*>(records_[p].client));
+  }
+  /// Constructs p's peer and client in its record. Touches only p's
+  /// record and p's home shard, so shards may build concurrently; the
+  /// caller marks p in made_.
   void make_peer(core::Pid p, util::CowStatus view);
   void broadcast_status(core::Pid about, bool live);
   void auto_replication_tick(std::size_t s, double capacity, double window,
@@ -344,8 +385,10 @@ class ShardedSwarm {
   sim::ShardedEngine engines_;
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<Peer>> peers_;
-  std::vector<std::unique_ptr<Client>> clients_;
+  /// One record per PID of the ID space; see the header comment.
+  std::unique_ptr<Record[], RecordsDelete> records_;
+  /// Whether PID p ever had a peer: exactly the records constructed.
+  std::vector<bool> made_;
   /// Per-shard controller tallies: cell s is written only by shard s's
   /// worker (inside its tick), summed at quiescence.
   std::vector<std::int64_t> auto_replicas_by_shard_;

@@ -26,6 +26,26 @@
 // allocation-free. The 32-bit seq is renumbered (order-preserving) on
 // the ~never-taken wrap, so tie-break behaviour is exact at any length.
 //
+// Arena chunks. A chunk holds 32768 64-byte slots, 2 MB. A slot is
+// constructed when the arena first hands it out, so a queue makes
+// resident only the pages its peak number of pending events touches.
+// The first chunk is an ordinary allocation; every later one is 2 MB
+// aligned and advised for transparent huge pages (util::allocate_huge),
+// because a queue that outgrows one chunk is a million-peer shard whose
+// random slot loads would otherwise miss the TLB as well as the cache.
+// Small queues (most tests, an m = 14 swarm, a serve process) never
+// reach a second chunk and keep their 4 KB-page footprint.
+//
+// Lookahead. A lane's FIFO order is its execution order, so when a lane
+// entry pops, the entries behind it are the next events of that lane.
+// The pop prefetches the arena slot of the entry kLookahead * 3 behind
+// it and runs the handlers' InplaceEvent lookahead hooks: stage 0 on the
+// entry 2 * kLookahead behind, stage 1 on the entry kLookahead behind.
+// For a delivery event that fetches, in turn, the event, the
+// destination's dispatch slot and the destination peer, each a dependent
+// DRAM miss, a few dozen events before the event runs. The hooks only
+// read, so the pop order and every handler's effect are unchanged.
+//
 // Releasing a lane timer. A protocol timeout usually outlives its
 // purpose: the request it guards is answered long before it expires, and
 // until then its handler and captures hold an arena slot. release()
@@ -47,10 +67,11 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <memory>
+#include <new>
 #include <vector>
 
 #include "lesslog/sim/inplace_event.hpp"
+#include "lesslog/util/huge_pages.hpp"
 
 namespace lesslog::sim {
 
@@ -76,14 +97,18 @@ class LaneTimer {
 
 class EventQueue {
  public:
-  /// Schedules `fn` at absolute time `at` (must not precede now()).
-  /// Safe to call from inside a running handler: the executing entry is
-  /// popped off its structure before it is invoked.
-  void schedule(SimTime at, EventFn fn);
+  EventQueue() = default;
+  /// Destroys every handler still pending (fired and released slots hold
+  /// empty events) and frees the arena.
+  ~EventQueue();
+  // Handlers run in place at arena addresses, so the queue is pinned.
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
-  /// schedule() overload for raw callables: constructs the handler
-  /// directly inside its arena slot (zero InplaceEvent relocates — the
-  /// by-value overload pays two 56-byte moves per call).
+  /// Schedules the callable `fn` at absolute time `at` (must not precede
+  /// now()), constructing it directly inside its arena slot. Safe to
+  /// call from inside a running handler: the executing entry is popped
+  /// off its structure before it is invoked.
   template <typename F, typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, InplaceEvent> &&
                                         std::is_invocable_r_v<void, D&>>>
@@ -105,9 +130,6 @@ class EventQueue {
   /// bypass is lost. Callers should still pass constants; adaptive
   /// timers belong on schedule(). Returns the handle release() takes
   /// (an empty one for an overflow admission, which cannot be released).
-  LaneTimer schedule_after_fixed(SimTime delay, EventFn fn);
-
-  /// schedule_after_fixed() overload for raw callables; see schedule().
   template <typename F, typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, InplaceEvent> &&
                                         std::is_invocable_r_v<void, D&>>>
@@ -277,10 +299,23 @@ class EventQueue {
 #endif
   }
 
-  static constexpr std::size_t kChunkShift = 8;  ///< 256 handlers/chunk
+  static constexpr std::size_t kChunkShift = 15;  ///< 32768 slots/chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
+  static constexpr std::size_t kChunkBytes = kChunkSize * sizeof(EventFn);
+  static_assert(sizeof(EventFn) == 64 && kChunkBytes == util::kHugePageSize,
+                "a slot is one cache line and a chunk one huge page");
+  /// The first chunk's alignment: a slot per cache line.
+  static constexpr std::align_val_t kFirstChunkAlign{64};
+
+  /// How many entries ahead of a popping lane entry the lookahead
+  /// reaches per stage (see the header comment). 4, 8 and 16 measured
+  /// alike on the million-peer swarm.
+  static constexpr std::size_t kLookahead = 8;
 
   [[nodiscard]] EventFn& slot_ref(std::uint32_t slot) noexcept {
+    return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
+  }
+  [[nodiscard]] const EventFn& slot_ref(std::uint32_t slot) const noexcept {
     return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
   }
 
@@ -364,12 +399,14 @@ class EventQueue {
       return slot;
     }
     assert(arena_used_ < kReleasedSlot && "arena slot index overflow");
-    const std::uint32_t slot = arena_used_++;
-    if ((slot & (kChunkSize - 1)) == 0) {
-      chunks_.push_back(std::make_unique<EventFn[]>(kChunkSize));
-    }
+    const std::uint32_t slot = arena_used_;
+    if ((slot & (kChunkSize - 1)) == 0) add_chunk();
+    ::new (static_cast<void*>(&slot_ref(slot))) EventFn();
+    ++arena_used_;
     return slot;
   }
+  /// Appends one chunk of unconstructed slots (see the header comment).
+  void add_chunk();
 
   /// Reserves a slot and constructs the callable directly into it.
   template <typename F>
@@ -395,6 +432,8 @@ class EventQueue {
   [[nodiscard]] int min_source() const noexcept;
   /// Pops the earliest entry of `source` (repairing that structure).
   Entry pop_source(int source) noexcept;
+  /// The lookahead of a pop from `lane` (see the header comment).
+  void prefetch_behind(const Lane& lane) const noexcept;
   /// Pops the heap root; sifts down. Precondition: heap non-empty.
   Entry pop_heap_root() noexcept;
   /// Runs the popped entry `top`: moves the clock to its time, then
@@ -417,9 +456,10 @@ class EventQueue {
   mutable Bucket* wheel_front_hint_ = nullptr;
   /// Handler arena. Chunked so addresses are stable across growth: a
   /// handler is invoked in place while new events (and chunks) arrive.
-  std::vector<std::unique_ptr<EventFn[]>> chunks_;
+  /// Slots [0, arena_used_) are constructed; the rest are raw storage.
+  std::vector<EventFn*> chunks_;
   std::vector<std::uint32_t> free_slots_;  ///< recycled arena indices
-  std::uint32_t arena_used_ = 0;           ///< slots handed out ever
+  std::uint32_t arena_used_ = 0;  ///< slots handed out (constructed) ever
   SimTime now_ = 0.0;
   SimTime last_fired_ = 0.0;  ///< time of the last executed event
   std::uint32_t next_seq_ = 0;

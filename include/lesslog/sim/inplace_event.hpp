@@ -11,6 +11,14 @@
 // event — a Network pointer plus the kWireSize wire buffer — is
 // static_assert-ed to fit inline, which is what makes the steady-state
 // wire path allocation-free.
+//
+// Lookahead. A callable may declare `void prefetch(int stage) const
+// noexcept`, a hook that emits cache hints for the memory its call will
+// touch. The event queue calls it on entries a few pops ahead of the one
+// it runs, so the dependent DRAM misses of a cold event overlap with the
+// work of the events before it. The hook reads its own capture and
+// whatever that names, and writes nothing, so whether and when it runs
+// cannot change what any event does.
 #pragma once
 
 #include <cassert>
@@ -36,6 +44,12 @@ class InplaceEvent {
            alignof(D) <= alignof(std::max_align_t) &&
            std::is_nothrow_move_constructible_v<D>;
   }
+
+  /// True iff D declares the lookahead hook (see the header comment).
+  template <typename D>
+  static constexpr bool kHasPrefetch = requires(const D& d, int stage) {
+    { d.prefetch(stage) } noexcept;
+  };
 
   InplaceEvent() noexcept = default;
 
@@ -110,14 +124,42 @@ class InplaceEvent {
     return vt_ != nullptr && vt_->inline_storage;
   }
 
+  /// Whether prefetch() reaches a hook: the callable declares one and is
+  /// stored inline (tests).
+  [[nodiscard]] bool has_prefetch() const noexcept {
+    return vt_ != nullptr && vt_->prefetch != nullptr;
+  }
+
+  /// Runs the callable's lookahead hook for `stage`. A no-op for an
+  /// empty event, a callable without a hook, and a heap-stored callable
+  /// (reaching its capture would cost the very miss the hook hides).
+  void prefetch(int stage) const noexcept {
+    if (vt_ != nullptr && vt_->prefetch != nullptr) {
+      vt_->prefetch(storage_, stage);
+    }
+  }
+
  private:
   struct VTable {
     void (*invoke)(void* storage);
     /// Move-constructs into dst from src, then destroys src's callable.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* storage) noexcept;
+    /// The lookahead hook, or null (see kHasPrefetch).
+    void (*prefetch)(const void* storage, int stage) noexcept;
     bool inline_storage;
   };
+
+  template <typename D>
+  static constexpr auto kPrefetchFn = [] {
+    if constexpr (kHasPrefetch<D>) {
+      return +[](const void* s, int stage) noexcept {
+        static_cast<const D*>(s)->prefetch(stage);
+      };
+    } else {
+      return static_cast<void (*)(const void*, int) noexcept>(nullptr);
+    }
+  }();
 
   template <typename D>
   static constexpr VTable kInlineVt{
@@ -127,6 +169,7 @@ class InplaceEvent {
         static_cast<D*>(src)->~D();
       },
       [](void* s) noexcept { static_cast<D*>(s)->~D(); },
+      kPrefetchFn<D>,
       /*inline_storage=*/true};
 
   template <typename D>
@@ -136,6 +179,7 @@ class InplaceEvent {
         ::new (dst) D*(*static_cast<D**>(src));
       },
       [](void* s) noexcept { delete *static_cast<D**>(s); },
+      /*prefetch=*/nullptr,
       /*inline_storage=*/false};
 
   void reset() noexcept {

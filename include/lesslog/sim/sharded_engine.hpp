@@ -92,6 +92,13 @@ class ShardedEngine {
 
   void set_drain(DrainFn fn) { drain_ = std::move(fn); }
 
+  /// Runs fn(s) once for every shard s and returns when all calls have:
+  /// one pool task per shard for S > 1, in shard order on the calling
+  /// thread for S = 1. fn must not throw, and fn(s) may write only shard
+  /// s's state. The swarm builds each shard's peers this way, so the
+  /// page faults of a large set-up spread over the workers.
+  void for_each_shard(const std::function<void(std::size_t)>& fn);
+
   /// Runs every shard to quiescence (all queues and mailboxes empty).
   /// Workers execute the windows; the calling thread coordinates the
   /// barriers. On return every shard's clock sits at the same time (the

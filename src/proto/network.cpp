@@ -150,10 +150,26 @@ double Network::link_stagger(core::Pid a, core::Pid b) const noexcept {
   return cfg_.link_stagger * (static_cast<double>(x >> 11) * 0x1.0p-53);
 }
 
+void Network::DeliveryEvent::prefetch(int stage) const noexcept {
+  const std::uint32_t to = wire_to(wire);
+  if (to >= net->handlers_.size()) return;
+  const HandlerSlot& slot = net->handlers_[to];
+  if (stage == 0) {
+    __builtin_prefetch(&slot);
+    return;
+  }
+  if (slot.ctx != nullptr) {
+    __builtin_prefetch(slot.ctx);
+    __builtin_prefetch(static_cast<const char*>(slot.ctx) + 64);
+  }
+}
+
 void Network::send(const Message& m) {
   static_assert(sim::InplaceEvent::stored_inline<DeliveryEvent>(),
                 "the per-message delivery event must fit the event "
                 "queue's inline buffer (allocation-free wire path)");
+  static_assert(sim::InplaceEvent::kHasPrefetch<DeliveryEvent>,
+                "the delivery event declares the queue's lookahead hook");
   ++messages_sent_;
   DeliveryEvent ev{this, {}};
   encode_into(m, ev.wire);

@@ -32,11 +32,4 @@ void ShardRouter::drain_into(std::size_t dest, Network& net) {
   }
 }
 
-bool ShardRouter::empty() const noexcept {
-  for (const Box& box : box_) {
-    if (!box.at.empty()) return false;
-  }
-  return true;
-}
-
 }  // namespace lesslog::proto

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "lesslog/core/replication.hpp"
+#include "lesslog/util/huge_pages.hpp"
 
 namespace lesslog::proto {
 
@@ -150,27 +151,63 @@ ShardedSwarm::ShardedSwarm(Config cfg, Plan plan)
   for (std::uint32_t p = 0; p < cfg_.nodes; ++p) {
     status_.mutate().set_live(p);  // sole owner here: never clones
   }
-  peers_.resize(util::space_size(cfg_.m));
-  clients_.resize(util::space_size(cfg_.m));
   auto_replicas_by_shard_.assign(cfg_.shards, 0);
   auto_removals_by_shard_.assign(cfg_.shards, 0);
-  // One shared copy-on-write snapshot for the whole construction batch:
-  // at m=16 this replaces 2^16 distinct 8 KiB status words (512 MiB) with
-  // a single word that peers alias until their views diverge.
-  for (std::uint32_t p = 0; p < cfg_.nodes; ++p) {
-    make_peer(core::Pid{p}, status_.snapshot());
+  // The Peer and Client constructors validate their configs; a pool task
+  // must not throw, so a bad config is rejected here, before any record
+  // exists.
+  cfg_.peer.validate();
+  cfg_.client.validate();
+  const std::uint32_t space = util::space_size(cfg_.m);
+  const std::size_t bytes = std::size_t{space} * sizeof(Record);
+  records_ = std::unique_ptr<Record[], RecordsDelete>(
+      static_cast<Record*>(util::allocate_huge(bytes)), RecordsDelete{bytes});
+  made_.assign(space, false);
+  // One shared copy-on-write snapshot per shard for the whole
+  // construction batch: at m=16 this replaces 2^16 distinct 8 KiB status
+  // words (512 MiB) with one word per shard that its peers alias until
+  // their views diverge. Per shard, not swarm-wide: the copy-on-write
+  // check (use_count) does not order one worker's in-place write after
+  // another worker's last read, so two shards' peers must never share a
+  // word. Each shard builds its own PIDs, in ascending order; made_ is
+  // filled after the join, since under the subtree map neighbouring bits
+  // belong to different shards.
+  engines_.for_each_shard([this](std::size_t s) {
+    const util::CowStatus shard_view(status_.read());
+    for (std::uint32_t p = 0; p < cfg_.nodes; ++p) {
+      if (router_.shard_of(core::Pid{p}) == s) {
+        make_peer(core::Pid{p}, shard_view.snapshot());
+      }
+    }
+  });
+  for (std::uint32_t p = 0; p < cfg_.nodes; ++p) made_[p] = true;
+}
+
+ShardedSwarm::~ShardedSwarm() {
+  const std::uint32_t space = util::space_size(cfg_.m);
+  for (std::uint32_t p = 0; p < space; ++p) {
+    if (made_[p]) client(core::Pid{p}).~Client();
   }
+  for (std::uint32_t p = 0; p < space; ++p) {
+    if (made_[p]) peer(core::Pid{p}).~Peer();
+  }
+}
+
+void ShardedSwarm::RecordsDelete::operator()(
+    Record* records) const noexcept {
+  util::deallocate_huge(records, bytes);
 }
 
 void ShardedSwarm::make_peer(core::Pid p, util::CowStatus view) {
   Shard& sh = home(p);
-  peers_[p.value()] = std::make_unique<Peer>(p, cfg_.b, std::move(view),
-                                             sh.network, cfg_.peer);
-  peers_[p.value()]->set_metrics(&sh.metrics);
-  peers_[p.value()]->attach();
-  clients_[p.value()] =
-      std::make_unique<Client>(*peers_[p.value()], sh.network, cfg_.client);
-  clients_[p.value()]->set_metrics(&sh.metrics);
+  Record& record = records_[p.value()];
+  Peer* peer_ptr = ::new (static_cast<void*>(record.peer))
+      Peer(p, cfg_.b, std::move(view), sh.network, cfg_.peer);
+  peer_ptr->set_metrics(&sh.metrics);
+  peer_ptr->attach();
+  Client* client_ptr = ::new (static_cast<void*>(record.client))
+      Client(*peer_ptr, sh.network, cfg_.client);
+  client_ptr->set_metrics(&sh.metrics);
 }
 
 std::int64_t ShardedSwarm::settle() { return engines_.run_all_windows(); }
@@ -262,10 +299,11 @@ core::Pid ShardedSwarm::join(std::optional<core::Pid> requested) {
   // everyone. Peer and Client objects are reused across rejoin cycles:
   // engine timers capture raw pointers to them, so they must live as long
   // as the swarm.
-  if (peers_[p.value()]) {
-    peers_[p.value()]->rejoin(status_.snapshot());
+  if (made_[p.value()]) {
+    peer(p).rejoin(status_.snapshot());
   } else {
     make_peer(p, status_.snapshot());
+    made_[p.value()] = true;
   }
   Shard& sh = home(p);
   sh.network.notify_peer_event(engines_.shard(shard_of(p)).now(), p,
@@ -289,11 +327,11 @@ core::Pid ShardedSwarm::join(std::optional<core::Pid> requested) {
 void ShardedSwarm::depart(core::Pid p) {
   assert(status_.read().is_live(p.value()));
   // Graceful: push inserted files to their next holders first (5.2)...
-  peers_[p.value()]->graceful_leave();
+  peer(p).graceful_leave();
   // ...then register the departure and go dark.
   broadcast_status(p, /*live=*/false);
   status_.mutate().set_dead(p.value());
-  peers_[p.value()]->detach();
+  peer(p).detach();
   home(p).network.notify_peer_event(engines_.shard(shard_of(p)).now(), p,
                                     /*live=*/false);
 }
@@ -302,7 +340,7 @@ void ShardedSwarm::crash(core::Pid p) {
   assert(status_.read().is_live(p.value()));
   // The store is lost instantly; the failure is then detected and
   // announced, which triggers sibling-subtree recovery at the survivors.
-  peers_[p.value()]->detach();
+  peer(p).detach();
   status_.mutate().set_dead(p.value());
   broadcast_status(p, /*live=*/false);
   home(p).network.notify_peer_event(engines_.shard(shard_of(p)).now(), p,
@@ -318,14 +356,14 @@ void ShardedSwarm::reannounce() {
   for (std::uint32_t p = 0; p < util::space_size(cfg_.m); ++p) {
     // Only PIDs that ever existed matter; a slot that never had a peer
     // was never announced live to anyone.
-    if (!peers_[p]) continue;
+    if (!made_[p]) continue;
     broadcast_status(core::Pid{p}, status_.read().is_live(p));
   }
 }
 
 void ShardedSwarm::crash_unannounced(core::Pid p) {
   assert(status_.read().is_live(p.value()));
-  peers_[p.value()]->detach();
+  peer(p).detach();
   status_.mutate().set_dead(p.value());
   home(p).network.notify_peer_event(engines_.shard(shard_of(p)).now(), p,
                                     /*live=*/false);
@@ -384,8 +422,8 @@ void ShardedSwarm::auto_replication_tick(std::size_t s, double capacity,
       static_cast<std::uint64_t>(removal_threshold * window);
   for (std::uint32_t p = 0; p < util::space_size(cfg_.m); ++p) {
     if (router_.shard_of(core::Pid{p}) != s) continue;
-    if (!status_.read().is_live(p) || !peers_[p]) continue;
-    Peer& peer_ref = *peers_[p];
+    if (!status_.read().is_live(p) || !made_[p]) continue;
+    Peer& peer_ref = peer(core::Pid{p});
     if (peer_ref.served() > budget) {
       if (peer_ref.shed_hottest().has_value()) {
         ++auto_replicas_by_shard_[s];
@@ -442,8 +480,8 @@ void ShardedSwarm::enable_metrics_sampling(double interval,
           std::int64_t hottest = 0;
           for (std::uint32_t p = 0; p < util::space_size(cfg_.m); ++p) {
             if (router_.shard_of(core::Pid{p}) != s) continue;
-            if (status_.read().is_live(p) && peers_[p]) {
-              hottest = std::max(hottest, peers_[p]->served());
+            if (status_.read().is_live(p) && made_[p]) {
+              hottest = std::max(hottest, peer(core::Pid{p}).served());
             }
           }
           sh.metrics.max_served->set(static_cast<double>(hottest));
@@ -473,17 +511,18 @@ const obs::TimeSeries& ShardedSwarm::metrics_series() {
 
 std::int64_t ShardedSwarm::total_faults() const {
   std::int64_t total = 0;
-  for (const auto& c : clients_) {
-    if (c) total += c->faults();
+  for (std::uint32_t p = 0; p < made_.size(); ++p) {
+    if (made_[p]) total += client(p).faults();
   }
   return total;
 }
 
 std::vector<double> ShardedSwarm::all_latencies() const {
   std::vector<double> out;
-  for (const auto& c : clients_) {
-    if (!c) continue;
-    out.insert(out.end(), c->latencies().begin(), c->latencies().end());
+  for (std::uint32_t p = 0; p < made_.size(); ++p) {
+    if (!made_[p]) continue;
+    const std::vector<double>& l = client(p).latencies();
+    out.insert(out.end(), l.begin(), l.end());
   }
   return out;
 }

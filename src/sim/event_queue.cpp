@@ -10,6 +10,26 @@ namespace {
 constexpr std::size_t kArity = 4;
 }  // namespace
 
+EventQueue::~EventQueue() {
+  for (std::uint32_t slot = 0; slot < arena_used_; ++slot) {
+    slot_ref(slot).~EventFn();
+  }
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    if (c == 0) {
+      ::operator delete(chunks_[c], kChunkBytes, kFirstChunkAlign);
+    } else {
+      util::deallocate_huge(chunks_[c], kChunkBytes);
+    }
+  }
+}
+
+void EventQueue::add_chunk() {
+  chunks_.reserve(chunks_.size() + 1);  // so the push_back cannot throw
+  chunks_.push_back(static_cast<EventFn*>(
+      chunks_.empty() ? ::operator new(kChunkBytes, kFirstChunkAlign)
+                      : util::allocate_huge(kChunkBytes)));
+}
+
 void EventQueue::renumber() {
   // next_seq_ wrapped (one full 2^32-schedule epoch). Queued entries keep
   // their relative (at, seq) order; compacting their seqs to 0..n-1 frees
@@ -36,13 +56,6 @@ void EventQueue::renumber() {
                           heap_[i].slot());
   }
   next_seq_ = static_cast<std::uint32_t>(heap_.size());
-}
-
-void EventQueue::schedule(SimTime at, EventFn fn) {
-  assert(fn && "cannot schedule an empty event");
-  const std::uint32_t slot = acquire_slot();
-  slot_ref(slot) = std::move(fn);
-  push_entry(at, slot);
 }
 
 void EventQueue::push_entry(SimTime at, std::uint32_t slot) {
@@ -86,13 +99,6 @@ void EventQueue::push_heap_entry(Entry e) {
     hole = parent;
   } while (hole != 0 && earlier(e, heap_[(hole - 1) / kArity]));
   heap_[hole] = e;
-}
-
-LaneTimer EventQueue::schedule_after_fixed(SimTime delay, EventFn fn) {
-  assert(fn && "cannot schedule an empty event");
-  const std::uint32_t slot = acquire_slot();
-  slot_ref(slot) = std::move(fn);
-  return push_lane_entry(delay, slot);
 }
 
 LaneTimer EventQueue::push_lane_entry(SimTime delay, std::uint32_t slot) {
@@ -216,7 +222,27 @@ EventQueue::Entry EventQueue::pop_source(int source) noexcept {
     return e;
   }
   --lane_count_;
-  return lanes_[static_cast<std::size_t>(source)].pop_front();
+  Lane& lane = lanes_[static_cast<std::size_t>(source)];
+  prefetch_behind(lane);
+  return lane.pop_front();
+}
+
+void EventQueue::prefetch_behind(const Lane& lane) const noexcept {
+  // Entry i behind the front is the lane's i-th next event. Released
+  // keys have no handler to fetch.
+  const std::size_t n = lane.fifo.size();
+  if (n > kLookahead) {
+    const std::uint32_t slot = lane.fifo[kLookahead].slot();
+    if (slot != kReleasedSlot) slot_ref(slot).prefetch(1);
+  }
+  if (n > 2 * kLookahead) {
+    const std::uint32_t slot = lane.fifo[2 * kLookahead].slot();
+    if (slot != kReleasedSlot) slot_ref(slot).prefetch(0);
+  }
+  if (n > 3 * kLookahead) {
+    const std::uint32_t slot = lane.fifo[3 * kLookahead].slot();
+    if (slot != kReleasedSlot) __builtin_prefetch(&slot_ref(slot));
+  }
 }
 
 SimTime EventQueue::next_time() const {

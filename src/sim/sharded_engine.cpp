@@ -78,6 +78,15 @@ void ShardedEngine::set_pair_lookahead(const std::vector<double>& matrix) {
   if (n > 1) lookahead_ = floor;
 }
 
+void ShardedEngine::for_each_shard(
+    const std::function<void(std::size_t)>& fn) {
+  if (pool_ == nullptr) {
+    for (std::size_t s = 0; s < engines_.size(); ++s) fn(s);
+    return;
+  }
+  util::parallel_for(*pool_, engines_.size(), fn);
+}
+
 double ShardedEngine::window_bound() const noexcept {
   // B = min over populated shards i of T_i + rowmin_i. An idle shard
   // (empty queue) executes nothing in the window, hence sends nothing,

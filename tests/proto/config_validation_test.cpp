@@ -222,6 +222,17 @@ TEST(ShardedSwarmValidation, RejectsShardsBeyondTheIdSpace) {
   EXPECT_THROW(ShardedSwarm{cfg}, std::invalid_argument);
 }
 
+TEST(ShardedSwarmValidation, BadPeerOrClientConfigReachesTheCaller) {
+  // With S > 1 the records are built on the shard workers, where an
+  // exception could not propagate; the configs are checked first.
+  ShardedSwarm::Config bad_client = sharded_base();
+  bad_client.client.timeout = 0.0;
+  EXPECT_THROW(ShardedSwarm{bad_client}, std::invalid_argument);
+  ShardedSwarm::Config bad_peer = sharded_base();
+  bad_peer.peer.busy_budget = 2;  // positive budget, zero refill
+  EXPECT_THROW(ShardedSwarm{bad_peer}, std::invalid_argument);
+}
+
 TEST(ShardedSwarmValidation, RejectsZeroFloorAndNamesTheRequirement) {
   // base_latency == 0, no geography: every pairwise cross-shard latency
   // lower bound is zero, so no conservative window exists. The message

@@ -3,6 +3,8 @@
 // actual datagrams with latency, verified against availability.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/hashing.hpp"
 #include "lesslog/util/rng.hpp"
@@ -248,6 +250,87 @@ TEST(WireMembership, DuplicatePushesAreIdempotent) {
       }
     }
     EXPECT_EQ(copies, 1);
+  }
+}
+
+// -- PID records -------------------------------------------------------
+//
+// Every PID's Peer and Client live in a fixed record of one array, built
+// when the PID first joins and destroyed with the swarm. Run at S = 1
+// and at S = 4, where each shard's worker builds its own records.
+
+TEST(SwarmRecords, AddressesSurviveCrashRestartAndDepartJoin) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    ShardedSwarm::Config cfg = cfg_of(5, 1, 32, 3);
+    cfg.shards = shards;
+    ShardedSwarm swarm(cfg);
+    const Pid crashed{7};
+    const Pid departed{26};
+    Peer* const crashed_peer = &swarm.peer(crashed);
+    Client* const crashed_client = &swarm.client(crashed);
+    Peer* const departed_peer = &swarm.peer(departed);
+    Client* const departed_client = &swarm.client(departed);
+    const FileId f = swarm.insert_named(0x5A11, Pid{0});
+    swarm.settle();
+
+    swarm.crash(crashed);
+    swarm.settle();
+    swarm.restart(crashed);
+    swarm.settle();
+    swarm.depart(departed);
+    swarm.settle();
+    ASSERT_EQ(swarm.join(departed), departed);
+    swarm.settle();
+
+    EXPECT_EQ(&swarm.peer(crashed), crashed_peer) << "S=" << shards;
+    EXPECT_EQ(&swarm.client(crashed), crashed_client) << "S=" << shards;
+    EXPECT_EQ(&swarm.peer(departed), departed_peer) << "S=" << shards;
+    EXPECT_EQ(&swarm.client(departed), departed_client) << "S=" << shards;
+    EXPECT_EQ(swarm.peer(departed).pid(), departed);
+    expect_all_available(swarm, {f});
+  }
+}
+
+TEST(SwarmRecords, JoinBuildsARecordThatWasNeverConstructed) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    ShardedSwarm::Config cfg = cfg_of(5, 0, 20, 4);
+    cfg.shards = shards;
+    ShardedSwarm swarm(cfg);
+    const FileId f = swarm.insert_named(0xC0DE, Pid{2});
+    swarm.settle();
+    const Pid fresh = swarm.join(Pid{27});  // 20..31 never had a peer
+    swarm.settle();
+    ASSERT_EQ(fresh, Pid{27});
+    EXPECT_EQ(swarm.peer(fresh).pid(), fresh);
+    EXPECT_TRUE(swarm.status().is_live(fresh.value()));
+    GetResult got;
+    swarm.get(f, Pid{util::psi_u64(f.key(), 5)}, fresh,
+              [&got](const GetResult& r) { got = r; });
+    swarm.settle();
+    EXPECT_TRUE(got.ok) << "S=" << shards;
+    swarm.reannounce();  // covers the new record, skips the never-built
+    swarm.settle();
+    expect_all_available(swarm, {f});
+  }
+}
+
+TEST(SwarmRecords, DestructionReleasesEveryStatusSnapshot) {
+  // Construction hands every peer one shared status snapshot. Holding
+  // one more handle on it across the swarm's destruction shows whether
+  // every peer let go: the holder must end as the sole owner, which
+  // CowStatus reveals by mutating in place instead of cloning.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    ShardedSwarm::Config cfg = cfg_of(6, 0, 48, 5);
+    cfg.shards = shards;
+    std::optional<util::CowStatus> held;
+    {
+      ShardedSwarm swarm(cfg);
+      swarm.join(Pid{50});  // one record built after construction
+      swarm.settle();
+      held = swarm.peer(Pid{3}).liveness().snapshot();
+    }
+    const util::StatusWord* before = &held->read();
+    EXPECT_EQ(&held->mutate(), before) << "S=" << shards;
   }
 }
 

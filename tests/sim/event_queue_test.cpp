@@ -19,6 +19,11 @@ struct EventQueueTestAccess {
   static void wrap_next_schedule(EventQueue& q) {
     q.next_seq_ = std::numeric_limits<std::uint32_t>::max();
   }
+  /// Arena slots ever handed out: the high-water mark of pending events.
+  static std::uint32_t arena_used(const EventQueue& q) {
+    return q.arena_used_;
+  }
+  static constexpr std::size_t kChunkSize = EventQueue::kChunkSize;
 };
 
 namespace {
@@ -556,6 +561,140 @@ TEST(EventQueueOrder, RunAllDrainsEverySource) {
   EXPECT_EQ(q.run_all(), 4);
   EXPECT_EQ(fired, 4);
   EXPECT_TRUE(q.empty());
+}
+
+// -- The chunked arena ---------------------------------------------------
+//
+// Slots come in 32768-slot chunks and are constructed when first handed
+// out. These tests hold far more events than one chunk, so slots from
+// later chunks are filled, fired, released and recycled.
+
+TEST(EventQueueArena, HundredThousandPendingEventsPopInExactOrder) {
+  EventQueue q;
+  util::Rng rng(0xA4E7AULL);
+  struct Scheduled {
+    double at;
+    std::uint32_t id;  // schedule order, so (at, id) is the (time, seq) key
+  };
+  std::vector<Scheduled> ref;
+  std::vector<std::uint32_t> fired;
+  std::vector<LaneTimer> timers;
+  std::vector<std::uint32_t> timer_ids;
+  std::vector<bool> released;
+  const double lane_delays[] = {0.01, 0.05, 0.25};
+  const auto schedule_batch_of = [&](std::uint32_t n) {
+    for (std::uint32_t k = 0; k < n; ++k) {
+      const auto id = static_cast<std::uint32_t>(ref.size());
+      const auto record = [&fired, id] { fired.push_back(id); };
+      double at = 0.0;
+      switch (rng.bounded(3)) {
+        case 0: {  // lane: many ties, broken by schedule order
+          const double delay = lane_delays[rng.bounded(3)];
+          timers.push_back(q.schedule_after_fixed(delay, record));
+          timer_ids.push_back(id);
+          at = delay;
+          break;
+        }
+        case 1:  // wheel
+          at = 0.004 + rng.uniform01() * 0.05;
+          q.schedule(at, record);
+          break;
+        default:  // heap: below the wheel or beyond it
+          at = rng.bounded(2) == 0 ? rng.uniform01() * 0.003
+                                   : 0.07 + rng.uniform01() * 2.0;
+          q.schedule(at, record);
+          break;
+      }
+      ref.push_back({at, id});
+      released.push_back(false);
+    }
+  };
+  schedule_batch_of(60000);
+  // Release every fourth lane timer so far; the next batch recycles
+  // their slots, several of them in later chunks.
+  for (std::size_t k = 0; k < timers.size(); k += 4) {
+    q.release(timers[k]);
+    released[timer_ids[k]] = true;
+  }
+  schedule_batch_of(60000);
+  ASSERT_EQ(q.size(), 120000u);
+  EXPECT_GT(EventQueueTestAccess::arena_used(q),
+            3 * EventQueueTestAccess::kChunkSize);
+
+  std::stable_sort(ref.begin(), ref.end(),
+                   [](const Scheduled& a, const Scheduled& b) {
+                     return a.at < b.at;  // stable: ties keep schedule order
+                   });
+  std::vector<std::uint32_t> expected;
+  for (const Scheduled& e : ref) {
+    if (!released[e.id]) expected.push_back(e.id);
+  }
+  EXPECT_EQ(q.run_all(), 120000);
+  EXPECT_EQ(fired, expected);
+}
+
+TEST(EventQueueArena, RecyclesSlotsFreedInALaterChunk) {
+  EventQueue q;
+  constexpr std::uint32_t kEvents = 40000;  // slots 32768.. in chunk two
+  static_assert(kEvents > EventQueueTestAccess::kChunkSize);
+  int fired = 0;
+  // Slot i fires at time kEvents - i, so the first to fire are the ones
+  // in the second chunk.
+  for (std::uint32_t i = 0; i < kEvents; ++i) {
+    q.schedule(static_cast<double>(kEvents - i), [&fired] { ++fired; });
+  }
+  ASSERT_EQ(EventQueueTestAccess::arena_used(q), kEvents);
+  constexpr std::uint32_t kFreed = 5000;
+  EXPECT_EQ(q.run_until(static_cast<double>(kFreed)), kFreed);
+  // Those freed slots take the next events: the arena does not grow.
+  int late = 0;
+  for (std::uint32_t i = 0; i < kFreed; ++i) {
+    q.schedule(static_cast<double>(kEvents + 1 + i), [&late] { ++late; });
+  }
+  EXPECT_EQ(EventQueueTestAccess::arena_used(q), kEvents);
+  EXPECT_EQ(q.run_all(), kEvents);
+  EXPECT_EQ(fired, static_cast<int>(kEvents));
+  EXPECT_EQ(late, static_cast<int>(kFreed));
+}
+
+TEST(EventQueueArena, DestroyingAQueueDestroysEachPendingCaptureOnce) {
+  auto token = std::make_shared<int>(0);
+  {
+    EventQueue q;
+    std::vector<LaneTimer> timers;
+    constexpr int kEvents = 50000;
+    std::int64_t wheel = 0;
+    for (int i = 0; i < kEvents; ++i) {
+      const auto keep = [token] { ++*token; };
+      switch (i % 3) {
+        case 0:
+          timers.push_back(q.schedule_after_fixed(0.25, keep));
+          break;
+        case 1:  // wheel, all before 0.02
+          q.schedule(0.01 + 1e-7 * i, keep);
+          ++wheel;
+          break;
+        default:  // heap
+          q.schedule(1.0 + 1e-6 * i, keep);
+          break;
+      }
+    }
+    EXPECT_EQ(token.use_count(), kEvents + 1);
+    long pending = kEvents;
+    for (std::size_t k = 0; k < timers.size(); k += 2) {
+      q.release(timers[k]);
+      --pending;
+    }
+    EXPECT_EQ(token.use_count(), pending + 1);
+    EXPECT_EQ(q.run_until(0.02), wheel);
+    pending -= wheel;
+    EXPECT_EQ(token.use_count(), pending + 1);
+    // Refill some freed slots, then drop the queue with all of it queued.
+    for (int i = 0; i < 1000; ++i) q.schedule(5.0, [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), pending + 1000 + 1);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 16667);  // the wheel events, the only ones that ran
 }
 
 }  // namespace

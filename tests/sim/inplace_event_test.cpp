@@ -120,5 +120,56 @@ TEST(InplaceEvent, DeliveryShapedCallableFitsInline) {
   EXPECT_TRUE(ev.is_inline());
 }
 
+// -- The lookahead hook --------------------------------------------------
+
+// A callable that declares the hook. Recording the stage through a
+// pointer is a test device: a real hook only emits cache hints.
+template <std::size_t kPad>
+struct Prefetching {
+  int* stage_seen;
+  std::array<std::uint8_t, kPad> pad{};
+  void operator()() const {}
+  void prefetch(int stage) const noexcept { *stage_seen = stage; }
+};
+
+TEST(InplaceEvent, ExposesAPrefetchEntryOnlyWhenTheCallableDeclaresOne) {
+  static_assert(InplaceEvent::kHasPrefetch<Prefetching<8>>);
+  int stage = -1;
+  const InplaceEvent with(Prefetching<8>{&stage});
+  ASSERT_TRUE(with.is_inline());
+  EXPECT_TRUE(with.has_prefetch());
+  with.prefetch(1);
+  EXPECT_EQ(stage, 1);
+  with.prefetch(0);
+  EXPECT_EQ(stage, 0);
+
+  int calls = 0;
+  const auto plain = [&calls] { ++calls; };
+  static_assert(!InplaceEvent::kHasPrefetch<decltype(plain)>);
+  const InplaceEvent without(plain);
+  EXPECT_FALSE(without.has_prefetch());
+  without.prefetch(0);  // no entry: nothing runs
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(InplaceEvent, PrefetchOfAnEmptyOrHeapStoredEventIsANoOp) {
+  const InplaceEvent empty{};
+  EXPECT_FALSE(empty.has_prefetch());
+  empty.prefetch(0);
+  empty.prefetch(1);
+
+  // Too big for the inline buffer: the hook exists but is not reached,
+  // since reading the capture would cost the miss it is meant to hide.
+  using Big = Prefetching<InplaceEvent::kInlineCapacity>;
+  static_assert(!InplaceEvent::stored_inline<Big>());
+  int stage = -1;
+  const InplaceEvent heap(Big{&stage});
+  ASSERT_FALSE(heap.is_inline());
+  EXPECT_FALSE(heap.has_prefetch());
+  heap.prefetch(0);
+  heap.prefetch(1);
+  EXPECT_EQ(stage, -1);
+}
+
 }  // namespace
 }  // namespace lesslog::sim
