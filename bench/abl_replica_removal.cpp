@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace lesslog;
   const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   const std::vector<double> rates = bench::paper_rates(args.quick);
-  util::ThreadPool pool;
+  util::ThreadPool pool(static_cast<unsigned>(args.threads));
 
   for (const auto& [name, kind] :
        {std::pair<std::string, sim::WorkloadKind>{

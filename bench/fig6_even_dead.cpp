@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   bench::print_header("Figure 6: LessLog under dead nodes, even distribution",
                       base, args);
 
-  util::ThreadPool pool;
+  util::ThreadPool pool(static_cast<unsigned>(args.threads));
   std::vector<bench::SolveRow> rows;
   const auto t0 = std::chrono::steady_clock::now();
   sim::FigureData fig("Figure 6 (replicas vs. incoming requests)",

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   bench::print_header("Figure 7: replicas to balance, locality model (80/20)",
                       base, args);
 
-  util::ThreadPool pool;
+  util::ThreadPool pool(static_cast<unsigned>(args.threads));
   std::vector<bench::SolveRow> rows;
   const auto t0 = std::chrono::steady_clock::now();
   sim::FigureData fig("Figure 7 (replicas vs. incoming requests)",

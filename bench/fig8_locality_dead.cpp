@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   bench::print_header("Figure 8: LessLog under dead nodes, locality model",
                       base, args);
 
-  util::ThreadPool pool;
+  util::ThreadPool pool(static_cast<unsigned>(args.threads));
   sim::FigureData fig("Figure 8 (replicas vs. incoming requests)",
                       "requests/s", rates);
   std::vector<bench::SolveRow> rows;

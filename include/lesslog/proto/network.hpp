@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "lesslog/obs/sink.hpp"
@@ -87,10 +88,24 @@ class Network {
   using ForwardFn =
       std::function<bool(core::Pid, double, const WireBuffer&)>;
 
-  Network(sim::Engine& engine, NetworkConfig cfg);
+  /// The PIDs a network delivers to: first, first + stride, ..., `count`
+  /// of them. A sharded swarm gives each shard network its own slice, so
+  /// its dispatch table is sized once to the shard instead of spanning
+  /// the global PID range.
+  struct PidSlice {
+    std::uint32_t first = 0;
+    std::uint32_t stride = 1;
+    std::uint32_t count = 0;
+  };
+
+  /// Without a slice (standalone networks: serve, loadgen, tests) the
+  /// network delivers to any PID, and its table grows on attach.
+  Network(sim::Engine& engine, NetworkConfig cfg,
+          std::optional<PidSlice> slice = std::nullopt);
 
   /// Registers the receive handler for a PID. One handler per PID; later
   /// registrations replace earlier ones (a rejoining peer re-registers).
+  /// Throws std::invalid_argument for a PID outside a bounded slice.
   void attach(core::Pid pid, Handler handler);
 
   /// Raw-handler form of attach(): registers a bare (context, function
@@ -183,6 +198,11 @@ class Network {
   [[nodiscard]] std::int64_t undeliverable() const noexcept {
     return undeliverable_;
   }
+  /// Dispatch-table slots: a bounded network's slice count, otherwise one
+  /// past the highest PID attached so far.
+  [[nodiscard]] std::size_t dispatch_slots() const noexcept {
+    return handlers_.size();
+  }
   /// Datagrams handed to an attached handler.
   [[nodiscard]] std::int64_t delivered() const noexcept { return delivered_; }
   /// Datagrams whose wire image failed to decode on arrival (fault
@@ -208,6 +228,22 @@ class Network {
   /// Arrival half of send(): decode and dispatch to the target handler.
   void deliver(const WireBuffer& wire);
 
+  /// The dispatch-table slot of `pid`, or kNoSlot when the slice does not
+  /// hold it or it lies past the table's end.
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+  [[nodiscard]] std::size_t slot_of(std::uint32_t pid) const noexcept {
+    if (pid < slice_.first) return kNoSlot;
+    std::uint32_t off = pid - slice_.first;
+    if (slice_.stride != 1) {
+      if (off % slice_.stride != 0) return kNoSlot;
+      off /= slice_.stride;
+    }
+    return off < handlers_.size() ? off : kNoSlot;
+  }
+  /// attach()'s slot for `pid`: grows an unbounded table to reach it;
+  /// throws for a PID outside a bounded slice.
+  std::size_t attach_slot(core::Pid pid);
+
   /// Slow path of send(), entered only when a fault plan is installed:
   /// runs the datagram through the injector pipeline (partition, dup,
   /// burst loss, corruption, delay spike) and schedules surviving copies.
@@ -224,7 +260,9 @@ class Network {
   NetworkConfig cfg_;
   Geography geo_;
   std::vector<std::pair<double, double>> coords_;  // empty = flat latency
-  std::vector<HandlerSlot> handlers_;  // indexed by PID
+  PidSlice slice_;
+  bool bounded_;  ///< constructed with a slice: the table never grows
+  std::vector<HandlerSlot> handlers_;  // indexed by slot_of(PID)
   /// Heap boxes backing std::function handlers registered through the
   /// general attach() (tests, ad-hoc observers): the slot's ctx points at
   /// the box and fn is a stateless shim that invokes it. unique_ptr keeps

@@ -27,6 +27,7 @@
 // run's outcome is a pure function of (seed, S, kind).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "lesslog/core/ids.hpp"
@@ -49,9 +50,8 @@ class ShardMap {
   ShardMap(Kind kind, int m, std::size_t shards)
       : kind_(kind),
         shards_(static_cast<std::uint32_t>(shards)),
-        block_((util::space_size(m) + static_cast<std::uint32_t>(shards) -
-                1u) /
-               static_cast<std::uint32_t>(shards)) {}
+        space_(util::space_size(m)),
+        block_((space_ + shards_ - 1u) / shards_) {}
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
@@ -60,11 +60,30 @@ class ShardMap {
     return kind_ == Kind::kRange ? p.value() / block_ : p.value() % shards_;
   }
 
+  /// Where shard s's PIDs sit: the first, the step to the next, and how
+  /// many. kRange: one block of consecutive PIDs; kSubtree: s, s + S,
+  /// s + 2S, ... Precondition: s < shards().
+  [[nodiscard]] std::uint32_t first_pid(std::size_t s) const noexcept {
+    return kind_ == Kind::kRange
+               ? std::min(static_cast<std::uint32_t>(s) * block_, space_)
+               : static_cast<std::uint32_t>(s);
+  }
+  [[nodiscard]] std::uint32_t pid_stride() const noexcept {
+    return kind_ == Kind::kRange ? 1u : shards_;
+  }
+  [[nodiscard]] std::uint32_t pid_count(std::size_t s) const noexcept {
+    const std::uint32_t first = first_pid(s);
+    return kind_ == Kind::kRange
+               ? std::min(block_, space_ - first)
+               : (space_ - first + shards_ - 1u) / shards_;
+  }
+
   friend bool operator==(const ShardMap&, const ShardMap&) = default;
 
  private:
   Kind kind_;
   std::uint32_t shards_;
+  std::uint32_t space_;  ///< 2^m
   std::uint32_t block_;  ///< kRange partition block, ceil(2^m / S)
 };
 

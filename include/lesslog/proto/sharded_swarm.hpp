@@ -335,8 +335,9 @@ class ShardedSwarm {
     Network network;
     obs::Registry registry;
     obs::WireMetrics metrics;
-    Shard(sim::Engine& engine, const NetworkConfig& net)
-        : network(engine, net), metrics(registry) {}
+    Shard(sim::Engine& engine, const NetworkConfig& net,
+          Network::PidSlice slice)
+        : network(engine, net, slice), metrics(registry) {}
   };
 
   /// Everything the constructor derives before engines exist: the map,

@@ -12,6 +12,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "lesslog/sim/load_solver.hpp"
 #include "lesslog/sim/workload.hpp"
@@ -19,12 +20,42 @@
 
 namespace lesslog::sim {
 
+/// The random baseline's placement candidates: the live PIDs without a
+/// copy, one bit each (word i bit j covers PID 64*i + j, as in
+/// util::StatusWord), with their count and one count per 4096-PID block.
+/// The harnesses update it with every placement, so drawing the k-th
+/// candidate reads the block counts and one block's words instead of
+/// scanning all 2^m bits twice per placement.
+class PlacementCandidates {
+ public:
+  PlacementCandidates() = default;
+  /// The live PIDs of `live` that hold no copy in `has_copy`.
+  PlacementCandidates(const util::StatusWord& live, const CopyMap& has_copy);
+
+  /// A copy was placed on P(p).
+  void remove(std::uint32_t p) noexcept;
+  /// The copy on P(p), a live node, was dropped.
+  void add(std::uint32_t p) noexcept;
+
+  [[nodiscard]] bool contains(std::uint32_t p) const noexcept {
+    return (words_[p >> 6] >> (p & 63u)) & 1u;
+  }
+  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
+  /// The k-th candidate, from 0, in ascending PID order. Precondition:
+  /// k < count().
+  [[nodiscard]] std::uint32_t select(std::uint64_t k) const noexcept;
+
+ private:
+  static constexpr std::size_t kBlockWords = 64;
+  std::vector<std::uint64_t> words_;
+  std::vector<std::uint32_t> block_count_;
+  std::uint64_t count_ = 0;
+};
+
 /// Everything a replication policy may inspect when asked where to place
 /// the next replica. `overloaded` is the node whose load must drop. For
 /// log-based policies, `load()` yields the exact per-node forward rates —
-/// the strongest possible "client-access log". The report is materialised
-/// on demand: the incremental solver defers re-summing forward rates, so
-/// policies that never read them (LessLog, random) never pay for them.
+/// the strongest possible "client-access log".
 struct PlacementContext {
   const core::LookupTree& tree;
   const core::SubtreeView& view;  ///< subtree view (b = 0 in the figures)
@@ -34,11 +65,9 @@ struct PlacementContext {
   std::function<const LoadReport&()> load;
   const Workload& demand;
   util::Rng& rng;
-  /// Packed mirror of has_copy, when the harness maintains one (the
-  /// figure and catalog loops do). Lets candidate enumeration word-scan
-  /// `live & ~copy` instead of walking 2^m bytes; policies must fall back
-  /// to has_copy when null.
-  const CopyBits* copy_bits = nullptr;
+  /// The live copyless PIDs, when the harness maintains them (the figure
+  /// and catalog loops do); policies must fall back to has_copy when null.
+  const PlacementCandidates* candidates = nullptr;
 };
 
 /// Returns the PID to replicate to, or nullopt when the policy cannot

@@ -14,13 +14,16 @@
 //   * solve_load — from-scratch: re-routes every live node per call. Kept
 //     as the trusted oracle; O(2^m * depth) per call with a heap-allocated
 //     RouteResult per routed node.
-//   * IncrementalLoadSolver — precomputes flat next-alive-ancestor tables
-//     once per (tree, liveness, demand) so a route is a pointer-free
-//     integer walk, and updates the report in O(affected subtree) when a
-//     copy is added. Bit-identical to solve_load (every accumulator is
-//     re-summed over its contributor set in the oracle's ascending-PID
-//     order); tests/sim/incremental_solver_test.cpp asserts this across
-//     seeds, dead fractions, workloads and b values.
+//   * IncrementalLoadSolver — solves a copy map in one O(2^m) pass over
+//     the routing forest, then updates the report in O(depth) when a copy
+//     is added.
+// Both quantize each per-node rate once to int64 fixed point (one unit is
+// 2^-32 req/s) and accumulate every sum in integers, converting to double
+// only to report. A sum therefore does not depend on the order it is
+// formed in, and the two reports are bit-identical by arithmetic rather
+// than by summation order; tests/sim/incremental_solver_test.cpp asserts
+// this after every placement across seeds, dead fractions, workloads,
+// policies and b values.
 #pragma once
 
 #include <cstdint>
@@ -38,37 +41,6 @@ namespace lesslog::sim {
 /// Copy placement for one file: has_copy[pid] != 0 iff P(pid) stores a
 /// copy. A plain byte vector keeps the solver branch-light.
 using CopyMap = std::vector<char>;
-
-/// Packed one-bit-per-PID mirror of a CopyMap (word i bit j covers PID
-/// 64*i + j, the same layout as util::StatusWord). The placement hot path
-/// word-scans `live & ~copy` — 64 candidates per load — instead of
-/// testing 2^m bytes; the experiment harnesses keep the mirror in sync
-/// with the byte map they hand the solver.
-class CopyBits {
- public:
-  CopyBits() = default;
-  explicit CopyBits(std::size_t slots) { reset(slots); }
-
-  void reset(std::size_t slots) { words_.assign((slots + 63) / 64, 0); }
-  void set(std::uint32_t p) noexcept {
-    words_[p >> 6] |= std::uint64_t{1} << (p & 63u);
-  }
-  void clear(std::uint32_t p) noexcept {
-    words_[p >> 6] &= ~(std::uint64_t{1} << (p & 63u));
-  }
-  [[nodiscard]] bool test(std::uint32_t p) const noexcept {
-    return (words_[p >> 6] >> (p & 63u)) & 1u;
-  }
-  [[nodiscard]] const std::uint64_t* words() const noexcept {
-    return words_.data();
-  }
-  [[nodiscard]] std::size_t word_count() const noexcept {
-    return words_.size();
-  }
-
- private:
-  std::vector<std::uint64_t> words_;
-};
 
 struct LoadReport {
   /// Requests/second served by each node (requests that terminate there).
@@ -96,6 +68,9 @@ struct LoadReport {
 };
 
 /// Exact steady-state load for one file routed through `tree` (b = 0).
+/// Throws std::invalid_argument when a demand rate is negative, NaN, or so
+/// large that the total demand would overflow the fixed-point sums, or
+/// when a dead node carries demand.
 [[nodiscard]] LoadReport solve_load(const core::LookupTree& tree,
                                     const CopyMap& has_copy,
                                     const util::StatusWord& live,
@@ -110,34 +85,37 @@ struct LoadReport {
 
 /// Incremental load solver for the replicate-until-balanced loop.
 ///
-/// Construction precomputes, once per experiment cell, the flat
-/// within-subtree next-alive-ancestor table (core/routing's AncestorTable
-/// generalized over the 2^b fault-tolerance subtrees), the routing forest
-/// it induces over the live nodes (children in CSR form), and the per-
-/// subtree stand-in holders. reset() then solves a copy map from scratch
-/// as a pure integer walk (no allocation, no std::function), and
-/// add_copy(p) exploits the structure of a placement — a new copy at P(p)
-/// only diverts the request streams that previously forwarded *through*
-/// P(p), all served until now by the first copy above p — instead of
-/// re-routing all 2^m nodes: the captured set is collected from p's
-/// pruned forest subtree, the old server sheds it from its maintained
-/// contributor list with one linear merge, and the copyless ancestors'
-/// forwarded[] entries are merely flagged and re-summed lazily when a
-/// reader (report()/loads()) actually wants them.
+/// Construction quantizes the demand and precomputes, once per experiment
+/// cell, the flat within-subtree next-alive-ancestor table (core/routing's
+/// AncestorTable generalized over the 2^b fault-tolerance subtrees) and the
+/// per-subtree stand-in holders. reset() solves a copy map in one pass over
+/// the live nodes, children before parents (ascending subtree VID): each
+/// node serves what reaches it if it holds a copy, and otherwise forwards
+/// it to its first alive ancestor, or to the stand-in holder when every
+/// ancestor is dead.
 ///
-/// Bit-identity with solve_load: every changed accumulator is re-summed
-/// over its contributor set in ascending-PID order, the exact order the
-/// from-scratch solver adds them, so served/forwarded/fault_rate/
-/// mean_hops/max_served match the oracle bit for bit. Configurations the
-/// structured update does not model (faulting or subtree-migrating
-/// streams, which the balance loop never produces because every subtree
-/// keeps its insertion copy) transparently fall back to a full reset and
-/// stay exact.
+/// add_copy(p) then exploits the structure of a placement. forwarded[p] is
+/// exactly the demand that passes P(p) — the demand of p's subtree, one
+/// block of bit-reversed PIDs, minus what the holders inside it serve
+/// (docs/ALGORITHM.md §8) — and a new copy captures precisely that demand. All of it was served until
+/// now by the first holder above p, so the placement moves it from that
+/// holder to p, takes it off the forwarded[] entry of every copyless node
+/// in between, and shortens each captured request by the nodes it no
+/// longer crosses. Every sum is an exact integer, so a placement costs
+/// O(depth) and leaves the solver equal to a fresh solve.
+///
+/// A copy map in which some stream faults in its own subtree (and so
+/// migrates to another subtree or is lost) is outside this model; the
+/// balance loop never produces one, because every subtree keeps its
+/// insertion copy. reset() detects it and takes the whole report from
+/// solve_load, and add_copy() re-solves until the map is back inside the
+/// model.
 class IncrementalLoadSolver {
  public:
   /// View-routed solver (any b >= 0). The view, liveness map and demand
   /// must outlive the solver and stay unchanged; only the copy map may
-  /// change between calls.
+  /// change between calls. Throws std::invalid_argument as solve_load
+  /// does.
   IncrementalLoadSolver(const core::SubtreeView& view,
                         const util::StatusWord& live, const Workload& demand);
 
@@ -155,21 +133,13 @@ class IncrementalLoadSolver {
   /// previously copyless.
   void add_copy(std::uint32_t pid);
 
-  /// The report for the current copy map (scalar fields refreshed
-  /// lazily). Valid until the next reset()/add_copy() call.
+  /// The report for the current copy map; reset() and add_copy() keep it
+  /// current, so the reference stays valid for the solver's lifetime.
   [[nodiscard]] const LoadReport& report();
-
-  /// Cheaper sibling of report() for the balance loop: served[] and
-  /// forwarded[] are brought exactly up to date (stale forwarded entries
-  /// are flushed), but the derived scalar fields (max_served, mean_hops,
-  /// fault_rate) are left as report() last computed them. Policies only
-  /// read the per-node vectors, so the loop can skip the O(n) scalar
-  /// pass per iteration.
-  [[nodiscard]] const LoadReport& loads();
 
   /// The most overloaded node, as LoadReport::most_overloaded, but O(1)
   /// amortized via an incrementally maintained max tracker instead of a
-  /// full scan or sort per balance-loop iteration.
+  /// full scan per balance-loop iteration.
   [[nodiscard]] std::optional<std::uint32_t> most_overloaded(double capacity);
 
   /// False when the current copy map has faulting or migrating streams,
@@ -178,79 +148,34 @@ class IncrementalLoadSolver {
 
  private:
   using HeapEntry = std::pair<double, std::uint32_t>;  // (served, pid)
+  /// Rate-weighted hop total: up to 2^63 demand units times a hop count.
+  __extension__ using HopUnits = __int128;
 
   void reset_internal();
-  [[nodiscard]] std::uint32_t pid_at(std::uint32_t sub_vid,
-                                     std::uint32_t sid) const noexcept;
-  [[nodiscard]] std::uint32_t find_live_scan(std::uint32_t sid,
-                                             std::uint32_t from_sv) const;
-  void collect_pruned(std::uint32_t from,
-                      std::vector<std::pair<std::uint32_t, std::uint32_t>>&
-                          out) const;
-  void shed_captured(std::uint32_t pid);
-  void heap_push(std::uint32_t pid);
+  void set_served(std::uint32_t pid, std::int64_t units);
+  void set_forwarded(std::uint32_t pid, std::int64_t units);
   void prune_heap();
-  void mark_forwarded_stale(std::uint32_t pid);
-  void flush_forwarded();
 
   // Static structure (fixed tree, liveness and demand).
   core::SubtreeView view_;
   const util::StatusWord* live_;
-  const Workload* demand_;
-  std::uint32_t slots_;
-  std::uint32_t subtree_count_;
-  std::vector<std::uint32_t> anchor_;     ///< pid -> within-subtree FP, kNone
-  std::vector<std::uint32_t> sid_of_;     ///< pid -> subtree identifier
-  std::vector<std::uint32_t> svid_of_;    ///< pid -> subtree VID
-  std::vector<std::uint32_t> holder_;     ///< sid -> stand-in holder, kNone
-  std::vector<char> root_live_;           ///< sid -> subtree root alive?
-  std::vector<std::uint32_t> child_start_;  ///< forest children CSR offsets
-  std::vector<std::uint32_t> child_list_;   ///< forest children CSR payload
+  const Workload* demand_;          ///< for the out-of-model fallback
+  std::vector<std::int64_t> units_;  ///< pid -> demand in fixed point
+  std::int64_t total_units_ = 0;
+  std::vector<std::uint32_t> anchor_;  ///< pid -> within-subtree FP, kNone
+  std::vector<std::uint32_t> holder_;  ///< sid -> stand-in holder, kNone
+  std::vector<char> root_live_;        ///< sid -> subtree root alive?
 
-  // Dynamic state for the current copy map.
+  // Dynamic state for the current copy map, in fixed-point units; report_
+  // mirrors them as rates.
   const CopyMap* copies_ = nullptr;
   LoadReport report_;
-  std::vector<std::int32_t> hops_;  ///< per-requester hop count
-  std::vector<char> faulted_;       ///< per-requester fault flag
+  std::vector<std::int64_t> served_;
+  std::vector<std::int64_t> forwarded_;
+  /// Sum of forwarded_: every forward is one hop of the stream it carries.
+  HopUnits hop_units_ = 0;
   bool exotic_ = false;
-  bool scalars_dirty_ = true;
-  // forwarded[] entries invalidated by add_copy but not yet re-summed.
-  // forwarded[q] is a pure function of the current copy map, so the
-  // re-sum can run at read time (report()/loads()) instead of once per
-  // placement — placements then touch the ancestor chain in O(depth)
-  // flag writes rather than one subtree re-sum per copyless ancestor.
-  std::vector<char> fwd_stale_;
-  std::vector<std::uint32_t> fwd_stale_list_;
   std::vector<HeapEntry> heap_;  ///< lazy max tracker over served[]
-  // Per-holder contributor lists: the requesters each copy currently
-  // serves, in ascending PID order (reset() visits requesters ascending,
-  // so the lists come out sorted for free). A placement then sheds its
-  // captured set from the previous server with one linear merge instead
-  // of a BFS + sort over that server's subtree.
-  //
-  // Stored as spans into one contiguous pool instead of 2^m separate
-  // vectors: reset() drops every list with two counters, a shed's merge
-  // walks one cache-line run, and a replacement either shrinks in place
-  // (sheds always shrink) or appends to the pool tail, compacting when
-  // dead tail bytes outgrow the live ones.
-  struct ContribSpan {
-    std::uint32_t off = 0;
-    std::uint32_t len = 0;
-  };
-  void contrib_replace(std::uint32_t pid, const std::uint32_t* data,
-                       std::uint32_t n);
-  void contrib_compact();
-  std::vector<ContribSpan> contrib_span_;
-  std::vector<std::uint32_t> contrib_buf_;
-  std::uint64_t contrib_live_ = 0;  ///< sum of span lengths
-  // (holder, requester) pairs captured while reset() routes; counting-
-  // sorted into the CSR spans afterwards (stable, so each holder's list
-  // stays in ascending requester order).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> contrib_pairs_;
-  // Scratch buffers reused across add_copy calls ((pid, depth) pairs).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> scratch_a_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> scratch_b_;
-  std::vector<std::uint32_t> scratch_c_;
 };
 
 }  // namespace lesslog::sim

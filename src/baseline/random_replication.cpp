@@ -1,7 +1,5 @@
 #include "lesslog/baseline/policy.hpp"
 
-#include "lesslog/util/bits.hpp"
-
 namespace lesslog::baseline {
 
 sim::PlacementFn random_policy() {
@@ -10,37 +8,19 @@ sim::PlacementFn random_policy() {
     // candidate set is `live & ~copy` minus the overloaded node itself,
     // in ascending PID order either way.
     const std::uint32_t over = ctx.overloaded.value();
-    if (ctx.copy_bits != nullptr) {
-      // Packed scan: count candidates word by word, draw the pick, then
-      // select the pick-th set bit — identical to materialising the
-      // ascending candidate list and indexing it.
-      const std::uint64_t* live_w = ctx.live.words();
-      const std::uint64_t* copy_w = ctx.copy_bits->words();
-      const std::size_t nw = ctx.live.word_count();
-      const std::size_t over_w = over >> 6;
-      const std::uint64_t over_bit = std::uint64_t{1} << (over & 63u);
-      std::uint64_t count = 0;
-      for (std::size_t i = 0; i < nw; ++i) {
-        std::uint64_t w = live_w[i] & ~copy_w[i];
-        if (i == over_w) w &= ~over_bit;
-        count += static_cast<std::uint64_t>(util::popcount64(w));
-      }
+    if (ctx.candidates != nullptr) {
+      // Dropping `over` from the candidates moves every later one down a
+      // place — the same pick as indexing the ascending candidate list.
+      const sim::PlacementCandidates& open = *ctx.candidates;
+      const bool skip = open.contains(over);
+      const std::uint64_t count = open.count() - (skip ? 1u : 0u);
       if (count == 0) return std::nullopt;
-      std::uint64_t pick = ctx.rng.bounded(count);
-      for (std::size_t i = 0; i < nw; ++i) {
-        std::uint64_t w = live_w[i] & ~copy_w[i];
-        if (i == over_w) w &= ~over_bit;
-        const auto c = static_cast<std::uint64_t>(util::popcount64(w));
-        if (pick < c) {
-          return core::Pid{static_cast<std::uint32_t>(
-              (i << 6) + static_cast<std::size_t>(util::select_bit64(
-                             w, static_cast<int>(pick))))};
-        }
-        pick -= c;
-      }
-      return std::nullopt;  // unreachable: pick < count
+      const std::uint64_t pick = ctx.rng.bounded(count);
+      std::uint32_t p = open.select(pick);
+      if (skip && p >= over) p = open.select(pick + 1);
+      return core::Pid{p};
     }
-    // Byte-map fallback for contexts without a packed mirror.
+    // Byte-map fallback for contexts without a candidate set.
     std::vector<std::uint32_t> candidates;
     candidates.reserve(ctx.live.live_count());
     for (std::uint32_t p = 0; p < ctx.live.capacity(); ++p) {

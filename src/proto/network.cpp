@@ -27,9 +27,29 @@ void NetworkConfig::validate() const {
   }
 }
 
-Network::Network(sim::Engine& engine, NetworkConfig cfg)
-    : engine_(&engine), cfg_(cfg) {
+Network::Network(sim::Engine& engine, NetworkConfig cfg,
+                 std::optional<PidSlice> slice)
+    : engine_(&engine),
+      cfg_(cfg),
+      slice_(slice.value_or(PidSlice{})),
+      bounded_(slice.has_value()) {
   cfg.validate();
+  if (slice_.stride == 0) {
+    throw std::invalid_argument("Network: PID slice stride must be positive");
+  }
+  handlers_.resize(slice_.count);
+}
+
+std::size_t Network::attach_slot(core::Pid pid) {
+  if (!bounded_) {
+    if (handlers_.size() <= pid.value()) handlers_.resize(pid.value() + 1u);
+    return pid.value();
+  }
+  const std::size_t slot = slot_of(pid.value());
+  if (slot == kNoSlot) {
+    throw std::invalid_argument("Network: PID outside this network's slice");
+  }
+  return slot;
 }
 
 void Network::attach(core::Pid pid, Handler handler) {
@@ -37,30 +57,24 @@ void Network::attach(core::Pid pid, Handler handler) {
     detach(pid);
     return;
   }
-  if (boxed_.size() <= pid.value()) {
-    boxed_.resize(pid.value() + 1u);
-  }
-  boxed_[pid.value()] = std::make_unique<Handler>(std::move(handler));
-  attach_raw(pid, boxed_[pid.value()].get(),
-             [](void* ctx, const Message& m) {
-               (*static_cast<Handler*>(ctx))(m);
-             });
+  const std::size_t slot = attach_slot(pid);
+  if (boxed_.size() <= slot) boxed_.resize(slot + 1u);
+  boxed_[slot] = std::make_unique<Handler>(std::move(handler));
+  handlers_[slot] = HandlerSlot{boxed_[slot].get(),
+                                [](void* ctx, const Message& m) {
+                                  (*static_cast<Handler*>(ctx))(m);
+                                }};
 }
 
 void Network::attach_raw(core::Pid pid, void* ctx, RawHandler fn) {
-  if (handlers_.size() <= pid.value()) {
-    handlers_.resize(pid.value() + 1u);
-  }
-  handlers_[pid.value()] = HandlerSlot{ctx, fn};
+  handlers_[attach_slot(pid)] = HandlerSlot{ctx, fn};
 }
 
 void Network::detach(core::Pid pid) {
-  if (pid.value() < handlers_.size()) {
-    handlers_[pid.value()] = HandlerSlot{};
-  }
-  if (pid.value() < boxed_.size()) {
-    boxed_[pid.value()].reset();
-  }
+  const std::size_t slot = slot_of(pid.value());
+  if (slot == kNoSlot) return;
+  handlers_[slot] = HandlerSlot{};
+  if (slot < boxed_.size()) boxed_[slot].reset();
 }
 
 void Network::add_sink(obs::DeliverySink& sink) {
@@ -151,8 +165,8 @@ double Network::link_stagger(core::Pid a, core::Pid b) const noexcept {
 }
 
 void Network::DeliveryEvent::prefetch(int stage) const noexcept {
-  const std::uint32_t to = wire_to(wire);
-  if (to >= net->handlers_.size()) return;
+  const std::size_t to = net->slot_of(wire_to(wire));
+  if (to == kNoSlot) return;
   const HandlerSlot& slot = net->handlers_[to];
   if (stage == 0) {
     __builtin_prefetch(&slot);
@@ -300,8 +314,8 @@ void Network::deliver(const WireBuffer& wire) {
     if (metrics_ != nullptr) metrics_->corrupted->inc();
     return;
   }
-  const std::uint32_t to = delivered->to.value();
-  if (to >= handlers_.size() || handlers_[to].fn == nullptr) {
+  const std::size_t to = slot_of(delivered->to.value());
+  if (to == kNoSlot || handlers_[to].fn == nullptr) {
     ++undeliverable_;
     if (metrics_ != nullptr) metrics_->undeliverable->inc();
     return;

@@ -125,8 +125,11 @@ ShardedSwarm::ShardedSwarm(Config cfg, Plan plan)
   }
   shards_.reserve(cfg_.shards);
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
-    shards_.push_back(
-        std::make_unique<Shard>(engines_.shard(s), cfg_.net));
+    const ShardMap& map = plan.map;
+    shards_.push_back(std::make_unique<Shard>(
+        engines_.shard(s), cfg_.net,
+        Network::PidSlice{map.first_pid(s), map.pid_stride(),
+                          map.pid_count(s)}));
     shards_[s]->network.set_metrics(&shards_[s]->metrics);
     if (plan.geo.has_value()) {
       shards_[s]->network.enable_geography(*plan.geo);

@@ -20,7 +20,7 @@ struct FileState {
   core::LookupTree tree;
   core::SubtreeView view;
   CopyMap has_copy;
-  CopyBits copy_bits;    ///< packed mirror of has_copy
+  PlacementCandidates candidates;
   Workload demand;       ///< this file's share of every node's rate
   LoadReport report;     ///< cached; recomputed only when copies change
 };
@@ -60,11 +60,10 @@ CatalogResult run_catalog_experiment(const CatalogConfig& cfg,
     const core::Pid target{util::psi_u64(cfg.seed * 131071u + i, cfg.m)};
     auto state = std::make_unique<FileState>(cfg.m, cfg.b, target);
     state->has_copy.assign(slots, 0);
-    state->copy_bits.reset(slots);
     for (const core::Pid holder : state->view.insertion_targets(live)) {
       state->has_copy[holder.value()] = 1;
-      state->copy_bits.set(holder.value());
     }
+    state->candidates = PlacementCandidates(live, state->has_copy);
     state->demand.rate.assign(slots, 0.0);
     for (std::uint32_t p = 0; p < slots; ++p) {
       state->demand.rate[p] = node_rates.rate[p] * weights[i];
@@ -117,14 +116,14 @@ CatalogResult run_catalog_experiment(const CatalogConfig& cfg,
         live,       f.has_copy,
         [&f]() -> const LoadReport& { return f.report; },
         f.demand,   rng,
-        &f.copy_bits};
+        &f.candidates};
     const std::optional<core::Pid> placement = policy(ctx);
     if (!placement.has_value() || f.has_copy[placement->value()] != 0 ||
         !live.is_live(placement->value())) {
       break;  // policy exhausted on the hottest file: cannot balance
     }
     f.has_copy[placement->value()] = 1;
-    f.copy_bits.set(placement->value());
+    f.candidates.remove(placement->value());
     f.report = solve_file(f, cfg.b, live);  // only this file's flows moved
     ++replicas;
     ++replicas_by_rank[hottest];

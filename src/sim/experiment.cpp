@@ -3,9 +3,50 @@
 #include <cassert>
 #include <cmath>
 
+#include "lesslog/util/bits.hpp"
 #include "lesslog/util/stats.hpp"
 
 namespace lesslog::sim {
+
+PlacementCandidates::PlacementCandidates(const util::StatusWord& live,
+                                         const CopyMap& has_copy)
+    : words_(live.word_count(), 0),
+      block_count_((live.word_count() + kBlockWords - 1) / kBlockWords, 0) {
+  for (std::uint32_t p = 0; p < live.capacity(); ++p) {
+    if (live.is_live(p) && has_copy[p] == 0) add(p);
+  }
+}
+
+void PlacementCandidates::remove(std::uint32_t p) noexcept {
+  if (!contains(p)) return;
+  words_[p >> 6] &= ~(std::uint64_t{1} << (p & 63u));
+  --block_count_[(p >> 6) / kBlockWords];
+  --count_;
+}
+
+void PlacementCandidates::add(std::uint32_t p) noexcept {
+  if (contains(p)) return;
+  words_[p >> 6] |= std::uint64_t{1} << (p & 63u);
+  ++block_count_[(p >> 6) / kBlockWords];
+  ++count_;
+}
+
+std::uint32_t PlacementCandidates::select(std::uint64_t k) const noexcept {
+  std::size_t i = 0;
+  for (std::size_t b = 0; k >= block_count_[b]; ++b) {
+    k -= block_count_[b];
+    i += kBlockWords;
+  }
+  for (;; ++i) {
+    const auto c = static_cast<std::uint64_t>(util::popcount64(words_[i]));
+    if (k < c) {
+      return static_cast<std::uint32_t>(
+          (i << 6) + static_cast<std::size_t>(
+                         util::select_bit64(words_[i], static_cast<int>(k))));
+    }
+    k -= c;
+  }
+}
 
 namespace {
 
@@ -17,8 +58,7 @@ struct Setup {
       : live(cfg.m),
         tree(cfg.m, pick_target(cfg, rng)),
         view(tree, cfg.b),
-        has_copy(util::space_size(cfg.m), 0),
-        copy_bits(util::space_size(cfg.m)) {
+        has_copy(util::space_size(cfg.m), 0) {
     const std::uint32_t slots = util::space_size(cfg.m);
     for (std::uint32_t p = 0; p < slots; ++p) live.set_live(p);
     const auto dead_count = static_cast<std::uint32_t>(
@@ -28,9 +68,9 @@ struct Setup {
     }
     for (core::Pid holder : view.insertion_targets(live)) {
       has_copy[holder.value()] = 1;
-      copy_bits.set(holder.value());
       ++initial_copies;
     }
+    candidates = PlacementCandidates(live, has_copy);
     demand = cfg.workload == WorkloadKind::kUniform
                  ? uniform_workload(util::BorrowedView(live), cfg.total_rate)
                  : locality_workload(util::BorrowedView(live), cfg.total_rate,
@@ -49,17 +89,17 @@ struct Setup {
         static_cast<std::uint32_t>(rng.bounded(util::space_size(cfg.m)))};
   }
 
-  /// Marks a placement in both copy-map representations.
+  /// Marks a placement in the copy map and the candidate set.
   void place_copy(std::uint32_t p) {
     has_copy[p] = 1;
-    copy_bits.set(p);
+    candidates.remove(p);
   }
 
   util::StatusWord live;
   core::LookupTree tree;
   core::SubtreeView view;
   CopyMap has_copy;
-  CopyBits copy_bits;  ///< packed mirror of has_copy
+  PlacementCandidates candidates;
   Workload demand;
   int initial_copies = 0;
 };
@@ -129,7 +169,7 @@ ExperimentResult run_on_scratch(Setup& s, const ExperimentConfig& cfg,
         s.live,     s.has_copy,
         [&report]() -> const LoadReport& { return report; },
         s.demand,   rng,
-        &s.copy_bits};
+        &s.candidates};
     const std::optional<core::Pid> placement = policy(ctx);
     if (!usable_placement(s, placement)) {
       return finish(s, report, replicas, /*balanced=*/false, cfg.capacity);
@@ -163,15 +203,13 @@ ExperimentResult run_on_incremental(Setup& s, const ExperimentConfig& cfg,
                     cfg.capacity);
     }
 
-    // loads() flushes deferred forward-rate sums but skips report()'s
-    // O(n) scalar pass; it only runs if the policy actually reads flows.
     const PlacementContext ctx{
         s.tree,     s.view,
         core::Pid{*hot},
         s.live,     s.has_copy,
-        [&solver]() -> const LoadReport& { return solver.loads(); },
+        [&solver]() -> const LoadReport& { return solver.report(); },
         s.demand,   rng,
-        &s.copy_bits};
+        &s.candidates};
     const std::optional<core::Pid> placement = policy(ctx);
     if (!usable_placement(s, placement)) {
       return finish(s, solver.report(), replicas, /*balanced=*/false,
@@ -236,7 +274,7 @@ RemovalResult run_with_removal(const ExperimentConfig& cfg,
     if (s.has_copy[p] == 0 || inserted[p] != 0) continue;
     if (final_report.served[p] < removal_threshold) {
       s.has_copy[p] = 0;
-      s.copy_bits.clear(p);
+      s.candidates.add(p);
     } else {
       ++survivors;
     }

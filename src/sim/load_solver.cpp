@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "lesslog/core/routing.hpp"
 #include "lesslog/util/bits.hpp"
@@ -13,6 +15,11 @@ namespace {
 
 constexpr std::uint32_t kNone = core::AncestorTable::kNone;
 
+__extension__ using HopUnits = __int128;
+
+/// Fixed-point demand: one unit is 2^-32 req/s.
+constexpr double kUnitsPerRate = 0x1p32;
+
 /// Heap ordering for the lazy max tracker: the top is the largest served
 /// value, lowest PID on ties — matching std::max_element over served[],
 /// which returns the first (lowest-PID) maximum.
@@ -21,41 +28,92 @@ bool heap_less(const std::pair<double, std::uint32_t>& a,
   return a.first < b.first || (a.first == b.first && a.second > b.second);
 }
 
-template <typename RouteFn>
-LoadReport solve_generic(std::uint32_t capacity_slots,
-                         [[maybe_unused]] const util::StatusWord& live,
-                         const Workload& demand, const RouteFn& route) {
-  if (demand.size() != capacity_slots) {
-    throw std::invalid_argument(
-        "solve_load: workload size does not match the liveness map");
-  }
-  LoadReport report;
-  report.served.assign(capacity_slots, 0.0);
-  report.forwarded.assign(capacity_slots, 0.0);
+/// A fixed-point sum as a rate: exact below 2^53 units (2^21 req/s),
+/// rounded to nearest above, the same way in both solvers.
+double to_rate(std::int64_t units) {
+  return static_cast<double>(units) / kUnitsPerRate;
+}
 
-  double weighted_hops = 0.0;
-  double total_rate = 0.0;
-  for (std::uint32_t pid = 0; pid < capacity_slots; ++pid) {
+double mean_hops(HopUnits hop_units, std::int64_t total_units) {
+  return total_units > 0 ? static_cast<double>(hop_units) /
+                               static_cast<double>(total_units)
+                         : 0.0;
+}
+
+struct Units {
+  std::vector<std::int64_t> per_pid;
+  std::int64_t total = 0;
+};
+
+/// Each rate of `demand` rounded once to fixed point, and their total.
+/// Throws std::invalid_argument when the workload does not cover `slots`
+/// PIDs, a rate is negative, NaN, or too large for the int64 sums, or a
+/// dead node carries demand.
+Units quantize(const Workload& demand, const util::StatusWord& live,
+               std::uint32_t slots, const char* who) {
+  if (demand.size() != slots) {
+    throw std::invalid_argument(std::string(who) +
+                                ": workload size does not match the ID space");
+  }
+  Units out;
+  out.per_pid.resize(slots);
+  for (std::uint32_t pid = 0; pid < slots; ++pid) {
     const double rate = demand.rate[pid];
-    if (rate <= 0.0) continue;
-    assert(live.is_live(pid) && "dead nodes issue no requests");
+    // False for NaN too; 2^31 req/s is 2^63 units.
+    if (!(rate >= 0.0 && rate < 0x1p31)) {
+      throw std::invalid_argument(
+          std::string(who) +
+          ": demand rates must be non-negative and below 2^31 req/s");
+    }
+    const auto u = static_cast<std::int64_t>(std::llround(rate * kUnitsPerRate));
+    if (__builtin_add_overflow(out.total, u, &out.total)) {
+      throw std::invalid_argument(
+          std::string(who) + ": total demand overflows the fixed-point sums");
+    }
+    if (u != 0 && !live.is_live(pid)) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": dead nodes issue no requests");
+    }
+    out.per_pid[pid] = u;
+  }
+  return out;
+}
+
+template <typename RouteFn>
+LoadReport solve_generic(std::uint32_t slots, const util::StatusWord& live,
+                         const Workload& demand, const RouteFn& route) {
+  const Units units = quantize(demand, live, slots, "solve_load");
+  std::vector<std::int64_t> served(slots, 0);
+  std::vector<std::int64_t> forwarded(slots, 0);
+  std::int64_t fault = 0;
+  HopUnits hop_units = 0;
+  for (std::uint32_t pid = 0; pid < slots; ++pid) {
+    const std::int64_t u = units.per_pid[pid];
+    if (u == 0) continue;
     const core::RouteResult r = route(core::Pid{pid});
-    total_rate += rate;
-    weighted_hops += rate * static_cast<double>(r.hops());
+    hop_units += HopUnits{u} * r.hops();
     if (r.served_by.has_value()) {
-      report.served[r.served_by->value()] += rate;
+      served[r.served_by->value()] += u;
       // Every node on the path before the server forwards the stream.
       for (const core::Pid p : r.path) {
         if (p == *r.served_by) break;
-        report.forwarded[p.value()] += rate;
+        forwarded[p.value()] += u;
       }
     } else {
-      report.fault_rate += rate;
-      for (const core::Pid p : r.path) report.forwarded[p.value()] += rate;
+      fault += u;
+      for (const core::Pid p : r.path) forwarded[p.value()] += u;
     }
   }
-  report.mean_hops = total_rate > 0.0 ? weighted_hops / total_rate : 0.0;
 
+  LoadReport report;
+  report.served.resize(slots);
+  report.forwarded.resize(slots);
+  for (std::uint32_t pid = 0; pid < slots; ++pid) {
+    report.served[pid] = to_rate(served[pid]);
+    report.forwarded[pid] = to_rate(forwarded[pid]);
+  }
+  report.fault_rate = to_rate(fault);
+  report.mean_hops = mean_hops(hop_units, units.total);
   const auto max_it =
       std::max_element(report.served.begin(), report.served.end());
   if (max_it != report.served.end()) {
@@ -116,54 +174,22 @@ LoadReport solve_load(const core::SubtreeView& view, const CopyMap& has_copy,
 IncrementalLoadSolver::IncrementalLoadSolver(const core::SubtreeView& view,
                                              const util::StatusWord& live,
                                              const Workload& demand)
-    : view_(view),
-      live_(&live),
-      demand_(&demand),
-      slots_(util::space_size(view.tree().width())),
-      subtree_count_(view.subtree_count()) {
-  if (demand.size() != slots_) {
-    throw std::invalid_argument(
-        "IncrementalLoadSolver: workload size does not match the ID space");
-  }
+    : view_(view), live_(&live), demand_(&demand) {
+  Units units = quantize(demand, live, util::space_size(view.tree().width()),
+                         "IncrementalLoadSolver");
+  units_ = std::move(units.per_pid);
+  total_units_ = units.total;
   anchor_ = view_.ancestor_table(live);
-  sid_of_.resize(slots_);
-  svid_of_.resize(slots_);
-  for (std::uint32_t p = 0; p < slots_; ++p) {
-    sid_of_[p] = view_.subtree_id(core::Pid{p});
-    svid_of_[p] = view_.subtree_vid(core::Pid{p});
-  }
-  const std::uint32_t top = util::mask_of(view_.subtree_width());
-  holder_.assign(subtree_count_, kNone);
-  root_live_.assign(subtree_count_, 0);
-  for (std::uint32_t sid = 0; sid < subtree_count_; ++sid) {
+  const std::uint32_t count = view_.subtree_count();
+  holder_.assign(count, kNone);
+  root_live_.assign(count, 0);
+  for (std::uint32_t sid = 0; sid < count; ++sid) {
     root_live_[sid] =
         live.is_live(view_.subtree_root(sid).value()) ? char{1} : char{0};
-    holder_[sid] = find_live_scan(sid, top);
+    if (const auto h = view_.insertion_target(sid, live)) {
+      holder_[sid] = h->value();
+    }
   }
-  // Routing forest over the live nodes in CSR form: P(c) is a child of its
-  // within-subtree first-alive-ancestor; live nodes whose subtree
-  // ancestors are all dead are forest roots, grouped by subtree.
-  child_start_.assign(slots_ + 1u, 0);
-  for (std::uint32_t p = 0; p < slots_; ++p) {
-    if (!live.is_live(p)) continue;
-    const std::uint32_t a = anchor_[p];
-    if (a != kNone) ++child_start_[a + 1u];
-  }
-  for (std::uint32_t i = 1; i <= slots_; ++i) {
-    child_start_[i] += child_start_[i - 1u];
-  }
-  child_list_.resize(child_start_[slots_]);
-  std::vector<std::uint32_t> cpos(child_start_.begin(),
-                                  child_start_.end() - 1);
-  for (std::uint32_t p = 0; p < slots_; ++p) {
-    if (!live.is_live(p)) continue;
-    const std::uint32_t a = anchor_[p];
-    if (a != kNone) child_list_[cpos[a]++] = p;
-  }
-  hops_.assign(slots_, 0);
-  faulted_.assign(slots_, 0);
-  fwd_stale_.assign(slots_, 0);
-  contrib_span_.resize(slots_);
 }
 
 IncrementalLoadSolver::IncrementalLoadSolver(const core::LookupTree& tree,
@@ -171,22 +197,8 @@ IncrementalLoadSolver::IncrementalLoadSolver(const core::LookupTree& tree,
                                              const Workload& demand)
     : IncrementalLoadSolver(core::SubtreeView(tree, 0), live, demand) {}
 
-std::uint32_t IncrementalLoadSolver::pid_at(std::uint32_t sub_vid,
-                                            std::uint32_t sid) const noexcept {
-  return view_.pid_at(sub_vid, sid).value();
-}
-
-std::uint32_t IncrementalLoadSolver::find_live_scan(
-    std::uint32_t sid, std::uint32_t from_sv) const {
-  for (std::uint32_t sv = from_sv + 1u; sv-- > 0;) {
-    const std::uint32_t p = pid_at(sv, sid);
-    if (live_->is_live(p)) return p;
-  }
-  return kNone;
-}
-
 void IncrementalLoadSolver::reset(const CopyMap& has_copy) {
-  if (has_copy.size() != slots_) {
+  if (has_copy.size() != units_.size()) {
     throw std::invalid_argument(
         "IncrementalLoadSolver: copy map size does not match the ID space");
   }
@@ -197,186 +209,74 @@ void IncrementalLoadSolver::reset(const CopyMap& has_copy) {
 void IncrementalLoadSolver::reset_internal() {
   assert(copies_ != nullptr && "reset() must precede solving");
   const CopyMap& copies = *copies_;
-  report_.served.assign(slots_, 0.0);
-  report_.forwarded.assign(slots_, 0.0);
-  hops_.assign(slots_, 0);
-  faulted_.assign(slots_, 0);
+  const auto slots = static_cast<std::uint32_t>(units_.size());
+  served_.assign(slots, 0);
+  forwarded_.assign(slots, 0);  // a node's inflow until the pass reaches it
+  hop_units_ = 0;
   exotic_ = false;
-  scalars_dirty_ = true;
-  for (const std::uint32_t q : fwd_stale_list_) fwd_stale_[q] = 0;
-  fwd_stale_list_.clear();
-  contrib_pairs_.clear();
 
-  // Mirror of SubtreeView::route_get over the flat tables, accumulator by
-  // accumulator: requesters in ascending PID order; each visited non-
-  // serving node forwards the stream.
-  for (std::uint32_t pid = 0; pid < slots_; ++pid) {
-    const double rate = demand_->rate[pid];
-    if (rate <= 0.0) continue;
-    assert(live_->is_live(pid) && "dead nodes issue no requests");
-    std::uint32_t sid = sid_of_[pid];
-    const std::uint32_t sv = svid_of_[pid];
-    std::int32_t visits = 1;  // the requester itself
-    bool served = false;
-    for (std::uint32_t attempt = 0; attempt < subtree_count_; ++attempt) {
-      std::uint32_t node;
-      if (attempt == 0) {
-        node = pid;
-      } else {
-        // Migration entry: the requester's counterpart in this subtree,
-        // or its live proxy when the counterpart is dead.
-        node = pid_at(sv, sid);
-        if (!live_->is_live(node)) {
-          node = find_live_scan(sid, sv);
-          if (node == kNone) {
-            exotic_ = true;
-            sid = (sid + 1u) % subtree_count_;
-            continue;  // whole subtree dead; migrate again
-          }
-        }
-        ++visits;
+  // Children before parents: an ancestor, and the stand-in holder (the
+  // largest live subtree VID), come later in ascending subtree VID.
+  const std::uint32_t top = util::mask_of(view_.subtree_width());
+  for (std::uint32_t sid = 0; sid < view_.subtree_count(); ++sid) {
+    for (std::uint32_t sv = 0; sv <= top; ++sv) {
+      const std::uint32_t q = view_.pid_at(sv, sid).value();
+      if (!live_->is_live(q)) continue;
+      const std::int64_t flow = forwarded_[q] + units_[q];
+      if (copies[q] != 0) {
+        served_[q] = flow;
+        forwarded_[q] = 0;
+        continue;
       }
-      // Ancestor walk within the subtree, starting at the entry node.
-      while (true) {
-        if (copies[node] != 0) {
-          report_.served[node] += rate;
-          contrib_pairs_.emplace_back(node, pid);
-          served = true;
-          break;
-        }
-        report_.forwarded[node] += rate;
-        const std::uint32_t up = anchor_[node];
-        if (up == kNone) break;
-        node = up;
-        ++visits;
+      forwarded_[q] = flow;
+      hop_units_ += flow;
+      std::uint32_t next = anchor_[q];
+      if (next == kNone && root_live_[sid] == 0 && holder_[sid] != q) {
+        next = holder_[sid];
       }
-      if (served) break;
-      // Stand-in fallback inside this subtree (dead subtree root case).
-      if (root_live_[sid] == 0) {
-        const std::uint32_t h = holder_[sid];
-        if (h != kNone && h != node) {
-          ++visits;
-          if (copies[h] != 0) {
-            report_.served[h] += rate;
-            contrib_pairs_.emplace_back(h, pid);
-            served = true;
-            break;
-          }
-          report_.forwarded[h] += rate;
-        }
+      if (next != kNone) {
+        forwarded_[next] += flow;
+      } else if (flow != 0) {
+        exotic_ = true;  // faults in its own subtree
       }
-      // Fault in this subtree. The structured add_copy update only models
-      // streams served within their own subtree, so any migration or
-      // fault drops to full-reset mode.
-      exotic_ = true;
-      sid = (sid + 1u) % subtree_count_;
     }
-    hops_[pid] = visits - 1;
-    if (!served) faulted_[pid] = 1;
   }
 
-  // Counting-sort the captured (holder, requester) pairs into the CSR
-  // pool. The sort is stable and the pairs arrive in ascending requester
-  // order, so each holder's span stays ascending — the oracle's order.
-  for (auto& s : contrib_span_) s = ContribSpan{};
-  for (const auto& [h, k] : contrib_pairs_) ++contrib_span_[h].len;
-  std::uint32_t off = 0;
-  for (auto& s : contrib_span_) {
-    s.off = off;
-    off += s.len;
-    s.len = 0;
+  if (exotic_) {
+    // Faulting or migrating streams: outside the model, so the oracle
+    // solves the whole map.
+    report_ = solve_load(view_, copies, *live_, *demand_);
+  } else {
+    report_.served.resize(slots);
+    report_.forwarded.resize(slots);
+    for (std::uint32_t p = 0; p < slots; ++p) {
+      report_.served[p] = to_rate(served_[p]);
+      report_.forwarded[p] = to_rate(forwarded_[p]);
+    }
+    report_.fault_rate = 0.0;
   }
-  contrib_buf_.resize(off);
-  for (const auto& [h, k] : contrib_pairs_) {
-    contrib_buf_[contrib_span_[h].off + contrib_span_[h].len++] = k;
-  }
-  contrib_live_ = off;
-
   heap_.clear();
-  for (std::uint32_t p = 0; p < slots_; ++p) {
+  for (std::uint32_t p = 0; p < slots; ++p) {
     if (report_.served[p] > 0.0) heap_.emplace_back(report_.served[p], p);
   }
   std::make_heap(heap_.begin(), heap_.end(), &heap_less);
 }
 
-void IncrementalLoadSolver::collect_pruned(
-    std::uint32_t from,
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>& out) const {
-  // Appends (pid, anchor-chain depth below `from`) for every requester
-  // whose stream reaches P(from): the anchor-forest subtree of `from`,
-  // pruned at copy-holding children (their streams terminate there and
-  // never reach `from`). BFS reusing `out` as the queue.
-  const CopyMap& copies = *copies_;
-  std::size_t head = out.size();
-  out.emplace_back(from, 0u);
-  while (head < out.size()) {
-    const auto [n, d] = out[head++];
-    for (std::uint32_t i = child_start_[n]; i < child_start_[n + 1u]; ++i) {
-      const std::uint32_t c = child_list_[i];
-      if (copies[c] != 0) continue;
-      out.emplace_back(c, d + 1u);
-    }
-  }
-}
-
-void IncrementalLoadSolver::shed_captured(std::uint32_t x) {
-  // The freshly captured set (scratch_a_, ascending PID) leaves P(x)'s
-  // contributor list; drop it with one linear merge and re-sum the
-  // remainder in the oracle's ascending-PID order for bit-identity. The
-  // list covers stand-in absorption too: it records who x actually
-  // serves, however their streams arrived.
-  scratch_c_.clear();
-  double sum = 0.0;
-  auto cap = scratch_a_.cbegin();
-  const ContribSpan sp = contrib_span_[x];
-  for (std::uint32_t i = 0; i < sp.len; ++i) {
-    const std::uint32_t k = contrib_buf_[sp.off + i];
-    while (cap != scratch_a_.cend() && cap->first < k) ++cap;
-    if (cap != scratch_a_.cend() && cap->first == k) continue;  // captured
-    scratch_c_.push_back(k);
-    sum += demand_->rate[k];
-  }
-  contrib_replace(x, scratch_c_.data(),
-                  static_cast<std::uint32_t>(scratch_c_.size()));
-  report_.served[x] = sum;
-  heap_push(x);
-}
-
-void IncrementalLoadSolver::contrib_replace(std::uint32_t pid,
-                                            const std::uint32_t* data,
-                                            std::uint32_t n) {
-  ContribSpan& sp = contrib_span_[pid];
-  contrib_live_ += n;
-  contrib_live_ -= sp.len;
-  if (n <= sp.len) {  // sheds always shrink: reuse the span in place
-    std::copy(data, data + n, contrib_buf_.begin() + sp.off);
-    sp.len = n;
-    return;
-  }
-  sp.off = static_cast<std::uint32_t>(contrib_buf_.size());
-  sp.len = n;
-  contrib_buf_.insert(contrib_buf_.end(), data, data + n);
-  if (contrib_buf_.size() > 2 * contrib_live_ + 1024) contrib_compact();
-}
-
-void IncrementalLoadSolver::contrib_compact() {
-  std::vector<std::uint32_t> fresh;
-  fresh.reserve(contrib_live_);
-  for (ContribSpan& sp : contrib_span_) {
-    const auto off = static_cast<std::uint32_t>(fresh.size());
-    fresh.insert(fresh.end(), contrib_buf_.begin() + sp.off,
-                 contrib_buf_.begin() + sp.off + sp.len);
-    sp.off = off;
-  }
-  contrib_buf_ = std::move(fresh);
-}
-
-void IncrementalLoadSolver::heap_push(std::uint32_t pid) {
-  const double v = report_.served[pid];
+void IncrementalLoadSolver::set_served(std::uint32_t pid,
+                                       std::int64_t units) {
+  served_[pid] = units;
+  const double v = to_rate(units);
+  report_.served[pid] = v;
   if (v > 0.0) {
     heap_.emplace_back(v, pid);
     std::push_heap(heap_.begin(), heap_.end(), &heap_less);
   }
+}
+
+void IncrementalLoadSolver::set_forwarded(std::uint32_t pid,
+                                          std::int64_t units) {
+  forwarded_[pid] = units;
+  report_.forwarded[pid] = to_rate(units);
 }
 
 void IncrementalLoadSolver::prune_heap() {
@@ -394,134 +294,49 @@ void IncrementalLoadSolver::add_copy(std::uint32_t pid) {
   assert((*copies_)[pid] != 0 && "caller sets has_copy[pid] before the call");
   assert(live_->is_live(pid) && "copies are placed on live nodes");
   if (exotic_) {
-    // Faulting or migrating streams present: the structured update does
-    // not model them, so stay exact via a full re-solve.
     reset_internal();
     return;
   }
   const CopyMap& copies = *copies_;
 
-  // 1. Streams now captured by the new copy: everything that previously
-  // forwarded through P(pid). If nothing did, the placement changes no
-  // accumulator at all.
-  scratch_a_.clear();
-  collect_pruned(pid, scratch_a_);
-  std::sort(scratch_a_.begin(), scratch_a_.end());
-  double sum = 0.0;
-  bool any_flow = false;
-  scratch_c_.clear();
-  for (const auto& [k, depth] : scratch_a_) {
-    const double rate = demand_->rate[k];
-    if (rate <= 0.0) continue;
-    any_flow = true;
-    sum += rate;
-    hops_[k] = static_cast<std::int32_t>(depth);
-    scratch_c_.push_back(k);
-  }
-  if (!any_flow) return;
-  scalars_dirty_ = true;
-  contrib_replace(pid, scratch_c_.data(),
-                  static_cast<std::uint32_t>(scratch_c_.size()));
-  report_.served[pid] = sum;
-  report_.forwarded[pid] = 0.0;
-  fwd_stale_[pid] = 0;  // just computed exactly; cancel any pending flush
-  heap_push(pid);
+  // The new copy captures every stream that forwarded through P(pid).
+  const std::int64_t captured = forwarded_[pid];
+  if (captured == 0) return;
+  set_forwarded(pid, 0);
+  set_served(pid, captured);
 
-  // 2. The diverted flow leaves every accumulator on pid's ancestor
-  // chain: copyless ancestors lose pass-through load, and the first
-  // copy-holder above loses served load. Nothing above that changes.
-  // served[] feeds the max tracker, so the holder is re-summed now;
-  // forwarded[] is only read through report()/loads(), so the copyless
-  // ancestors are merely flagged and re-summed lazily at read time
-  // (forwarded[q] depends only on the copy map in force when it is read).
-  const std::uint32_t sid = sid_of_[pid];
+  // Those streams leave every copyless node up to the holder that served
+  // them until now, and each request saves one hop per node left behind.
+  HopUnits saved = 1;
   std::uint32_t node = pid;
-  bool resolved = false;
-  while (true) {
-    const std::uint32_t up = anchor_[node];
-    if (up == kNone) break;
+  std::uint32_t up = anchor_[pid];
+  while (up != kNone && copies[up] == 0) {
+    set_forwarded(up, forwarded_[up] - captured);
+    ++saved;
     node = up;
-    if (copies[node] != 0) {
-      shed_captured(node);
-      resolved = true;
-      break;
-    }
-    mark_forwarded_stale(node);
+    up = anchor_[up];
   }
-  if (!resolved) {
-    // Chain exhausted without a holder: on the fast path the diverted
-    // flow previously jumped to the stand-in holder of a dead-root
-    // subtree (anything else would have faulted and flagged exotic).
-    const std::uint32_t h = root_live_[sid] == 0 ? holder_[sid] : kNone;
-    if (h != kNone && h != node && copies[h] != 0) {
-      shed_captured(h);
-    } else {
+  if (up == kNone) {
+    // The chain ended at a copyless forest root, so the streams went on to
+    // the stand-in holder of a dead-root subtree (anything else faulted
+    // and made the map exotic).
+    const std::uint32_t sid = view_.subtree_id(core::Pid{pid});
+    up = root_live_[sid] == 0 && holder_[sid] != node ? holder_[sid] : kNone;
+    if (up == kNone || copies[up] == 0) {
       reset_internal();  // defensive: not a modeled shape; stay exact
+      return;
     }
   }
-}
-
-void IncrementalLoadSolver::mark_forwarded_stale(std::uint32_t pid) {
-  if (fwd_stale_[pid] != 0) return;
-  fwd_stale_[pid] = 1;
-  fwd_stale_list_.push_back(pid);
-}
-
-void IncrementalLoadSolver::flush_forwarded() {
-  if (fwd_stale_list_.empty()) return;
-  const CopyMap& copies = *copies_;
-  for (const std::uint32_t q : fwd_stale_list_) {
-    if (fwd_stale_[q] == 0) continue;  // gained a copy since flagged
-    fwd_stale_[q] = 0;
-    if (copies[q] != 0) {
-      report_.forwarded[q] = 0.0;  // holders terminate streams
-      continue;
-    }
-    scratch_b_.clear();
-    collect_pruned(q, scratch_b_);
-    std::sort(scratch_b_.begin(), scratch_b_.end());
-    double through = 0.0;
-    for (const auto& [k, depth] : scratch_b_) {
-      const double rate = demand_->rate[k];
-      if (rate <= 0.0) continue;
-      through += rate;
-    }
-    report_.forwarded[q] = through;
-  }
-  fwd_stale_list_.clear();
-}
-
-const LoadReport& IncrementalLoadSolver::loads() {
-  flush_forwarded();
-  return report_;
+  set_served(up, served_[up] - captured);
+  hop_units_ -= HopUnits{captured} * saved;
 }
 
 const LoadReport& IncrementalLoadSolver::report() {
-  flush_forwarded();
-  if (scalars_dirty_) {
-    // One ascending pass, accumulator by accumulator the same sums the
-    // from-scratch solver forms, so the scalars are bit-identical.
-    double total = 0.0;
-    double weighted = 0.0;
-    double fault = 0.0;
-    for (std::uint32_t pid = 0; pid < slots_; ++pid) {
-      const double rate = demand_->rate[pid];
-      if (rate <= 0.0) continue;
-      total += rate;
-      weighted += rate * static_cast<double>(hops_[pid]);
-      if (faulted_[pid] != 0) fault += rate;
-    }
-    report_.fault_rate = fault;
-    report_.mean_hops = total > 0.0 ? weighted / total : 0.0;
+  if (!exotic_) {
+    report_.mean_hops = mean_hops(hop_units_, total_units_);
     prune_heap();
-    if (heap_.empty()) {
-      report_.max_served = 0.0;
-      report_.max_served_pid = 0;
-    } else {
-      report_.max_served = heap_.front().first;
-      report_.max_served_pid = heap_.front().second;
-    }
-    scalars_dirty_ = false;
+    report_.max_served = heap_.empty() ? 0.0 : heap_.front().first;
+    report_.max_served_pid = heap_.empty() ? 0u : heap_.front().second;
   }
   return report_;
 }

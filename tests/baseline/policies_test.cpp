@@ -89,6 +89,42 @@ TEST(RandomPolicy, SpreadsOverManyNodes) {
   EXPECT_GT(picks.size(), 30u);
 }
 
+// With a candidate set the policy draws the same count and lands on the
+// same PID as the byte-map scan, including when the overloaded node is
+// itself a candidate and every pick at or above it shifts by one.
+TEST(RandomPolicy, CandidateSetPicksWhatTheByteMapPicks) {
+  for (const std::uint32_t over : {0u, 37u, 200u, 255u}) {
+    Harness h(8, 0);
+    util::Rng dead_rng(over + 1u);
+    for (const std::uint32_t d : dead_rng.sample_indices(256, 60)) {
+      if (d != over && d != 0) {
+        h.live.set_dead(d);
+        h.demand.rate[d] = 0.0;
+      }
+    }
+    sim::PlacementCandidates candidates(h.live, h.has_copy);
+    util::Rng indexed_rng(17);  // the harness's seed
+    const sim::PlacementFn policy = random_policy();
+    for (int i = 0; i < 250; ++i) {
+      const std::optional<Pid> scanned = policy(h.ctx(Pid{over}));
+      const sim::PlacementContext ctx{
+          h.tree,     h.view,
+          Pid{over},
+          h.live,     h.has_copy,
+          [&h]() -> const sim::LoadReport& { return h.report; },
+          h.demand,   indexed_rng,
+          &candidates};
+      const std::optional<Pid> indexed = policy(ctx);
+      ASSERT_EQ(indexed, scanned) << "over=" << over << " i=" << i;
+      if (!scanned.has_value()) break;
+      h.has_copy[scanned->value()] = 1;
+      candidates.remove(scanned->value());
+    }
+    // The harness rng and the indexed one drew the same numbers.
+    EXPECT_EQ(h.rng(), indexed_rng()) << "over=" << over;
+  }
+}
+
 TEST(LogBasedPolicy, PicksChildForwardingMostFlow) {
   Harness h(4, 4);
   const sim::PlacementFn policy = logbased_policy();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 namespace lesslog::proto {
@@ -80,6 +82,38 @@ TEST(Network, NeverAttachedPeerIsUndeliverable) {
   net.send(to(200));
   engine.run_until(1.0);
   EXPECT_EQ(net.undeliverable(), 1);
+}
+
+// A network built with a slice sizes its table to the slice once, maps
+// every PID of the slice to its own slot, and treats every other PID as
+// undeliverable; attaching outside the slice is rejected.
+TEST(Network, SliceBoundsTheDispatchTable) {
+  sim::Engine engine(5);
+  Network net(engine, {}, Network::PidSlice{.first = 3, .stride = 4,
+                                            .count = 5});  // 3, 7, ..., 19
+  EXPECT_EQ(net.dispatch_slots(), 5u);
+  std::vector<std::uint32_t> got;
+  for (std::uint32_t p = 3; p <= 19; p += 4) {
+    net.attach(core::Pid{p}, [&got, p](const Message&) { got.push_back(p); });
+  }
+  EXPECT_EQ(net.dispatch_slots(), 5u);
+  EXPECT_THROW(net.attach(core::Pid{5}, [](const Message&) {}),
+               std::invalid_argument);
+  EXPECT_THROW(net.attach(core::Pid{23}, [](const Message&) {}),
+               std::invalid_argument);
+  EXPECT_THROW(net.attach(core::Pid{1}, [](const Message&) {}),
+               std::invalid_argument);
+  for (std::uint32_t p = 0; p < 32; ++p) net.send(to(p));
+  engine.run_until(1.0);
+  std::sort(got.begin(), got.end());  // jitter reorders arrivals
+  EXPECT_EQ(got, (std::vector<std::uint32_t>{3, 7, 11, 15, 19}));
+  EXPECT_EQ(net.delivered(), 5);
+  EXPECT_EQ(net.undeliverable(), 27);
+  net.detach(core::Pid{5});  // outside the slice: nothing to detach
+  net.detach(core::Pid{7});
+  net.send(to(7));
+  engine.run_until(2.0);
+  EXPECT_EQ(net.undeliverable(), 28);
 }
 
 TEST(Network, DropProbabilityLosesRoughlyThatFraction) {

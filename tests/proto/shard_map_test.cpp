@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "lesslog/core/ids.hpp"
 #include "lesslog/core/virtual_tree.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/bits.hpp"
 
 namespace lesslog::proto {
@@ -107,6 +109,54 @@ TEST(ShardMap, SubtreeNeverCutsMoreTreeEdgesThanRange) {
             << "m=" << m << " S=" << shards << " root=" << r;
       }
     }
+  }
+}
+
+// Each shard network's dispatch table holds exactly its slice of the ID
+// space, under both maps at S = 4: the slices tile the space, every
+// datagram of an insert-and-GET round lands, and a datagram to a PID that
+// never attached counts as undeliverable.
+TEST(ShardMap, ShardNetworksHoldExactlyTheirSlice) {
+  for (const ShardMap::Kind kind :
+       {ShardMap::Kind::kRange, ShardMap::Kind::kSubtree}) {
+    ShardedSwarm::Config cfg;
+    cfg.m = 8;
+    cfg.nodes = 200;  // PIDs 200..255 never attach
+    cfg.seed = 3;
+    cfg.shards = 4;
+    cfg.shard_map = kind;
+    ShardedSwarm swarm(cfg);
+    const ShardMap& map = swarm.map();
+    std::vector<int> owner(256, -1);
+    for (std::size_t s = 0; s < 4; ++s) {
+      EXPECT_EQ(swarm.network(s).dispatch_slots(), 64u) << shard_map_name(kind);
+      for (std::uint32_t i = 0; i < map.pid_count(s); ++i) {
+        const std::uint32_t p = map.first_pid(s) + i * map.pid_stride();
+        ASSERT_LT(p, 256u);
+        EXPECT_EQ(map.shard_of(core::Pid{p}), s) << shard_map_name(kind);
+        EXPECT_EQ(owner[p], -1) << "PID " << p << " in two slices";
+        owner[p] = static_cast<int>(s);
+      }
+    }
+    EXPECT_EQ(std::count(owner.begin(), owner.end(), -1), 0);
+
+    const core::FileId f = swarm.insert_named(0xB10C, core::Pid{5});
+    swarm.settle();
+    for (std::uint32_t p = 0; p < cfg.nodes; p += 3) {
+      swarm.get(f, swarm.peer(core::Pid{p}).target_of(f), core::Pid{p});
+    }
+    swarm.settle();
+    EXPECT_GT(swarm.delivered(), 0) << shard_map_name(kind);
+    EXPECT_EQ(swarm.delivered(), swarm.messages_sent())
+        << shard_map_name(kind);
+    EXPECT_EQ(swarm.undeliverable(), 0) << shard_map_name(kind);
+
+    Message stray;
+    stray.from = core::Pid{0};
+    stray.to = core::Pid{250};
+    swarm.network(swarm.shard_of(core::Pid{0})).send(stray);
+    swarm.settle();
+    EXPECT_EQ(swarm.undeliverable(), 1) << shard_map_name(kind);
   }
 }
 

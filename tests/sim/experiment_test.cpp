@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "lesslog/baseline/policy.hpp"
 
@@ -143,6 +145,52 @@ TEST(RemovalPass, ZeroThresholdKeepsEverythingBalanced) {
       run_with_removal(cfg, baseline::lesslog_policy(), 0.0);
   EXPECT_EQ(r.replicas_after_removal, r.before.replicas_created);
   EXPECT_TRUE(r.still_balanced);
+}
+
+// The candidate set agrees with a brute-force list of the live copyless
+// PIDs — count, membership and every select(k) — after removals and
+// re-additions, across 4096-PID block boundaries.
+TEST(PlacementCandidates, MatchesBruteForceList) {
+  for (const int m : {1, 6, 13}) {
+    const std::uint32_t space = util::space_size(m);
+    util::Rng rng(static_cast<std::uint64_t>(m));
+    util::StatusWord live(m, space);
+    for (const std::uint32_t d : rng.sample_indices(space, space / 3)) {
+      live.set_dead(d);
+    }
+    CopyMap has_copy(space, 0);
+    for (const std::uint32_t c : rng.sample_indices(space, space / 5)) {
+      has_copy[c] = 1;  // dead nodes too: they never count
+    }
+    PlacementCandidates candidates(live, has_copy);
+    const auto check = [&](const std::string& where) {
+      std::vector<std::uint32_t> expected;
+      for (std::uint32_t p = 0; p < space; ++p) {
+        const bool open = live.is_live(p) && has_copy[p] == 0;
+        ASSERT_EQ(candidates.contains(p), open) << where << " p=" << p;
+        if (open) expected.push_back(p);
+      }
+      ASSERT_EQ(candidates.count(), expected.size()) << where;
+      for (std::size_t k = 0; k < expected.size(); ++k) {
+        ASSERT_EQ(candidates.select(k), expected[k]) << where << " k=" << k;
+      }
+    };
+    check("m=" + std::to_string(m) + " built");
+    for (int op = 1; op <= 400; ++op) {
+      const auto p = static_cast<std::uint32_t>(rng.bounded(space));
+      if (!live.is_live(p)) continue;
+      if (has_copy[p] != 0) {
+        has_copy[p] = 0;
+        candidates.add(p);
+      } else {
+        has_copy[p] = 1;
+        candidates.remove(p);
+      }
+      if (op % 100 == 0) {
+        check("m=" + std::to_string(m) + " op=" + std::to_string(op));
+      }
+    }
+  }
 }
 
 class ExperimentRateSweep : public ::testing::TestWithParam<double> {};
